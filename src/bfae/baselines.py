@@ -1,7 +1,8 @@
 """Comparison methods: PCA, functional PCA, and a dense autoencoder.
 
 PCA and the dense AE treat a multivariate functional sample as one flat
-``R*M`` vector.  FPCA works per feature under the quadrature inner product,
+``R*M`` vector; the dense AE is the BFAE's continuous-layer engine with unit
+quadrature weights.  FPCA works per feature under the quadrature inner product,
 with a shared explained-variance budget across features: eigenvalues are
 pooled over features and components retained greedily until the variance
 target is met.
@@ -10,12 +11,13 @@ target is met.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .grids import Grid
-from .layers import Activation
-from .model import BFAEConfig, TrainHistory, TrainingDiverged
+from .layers import Activation, ContinuousLayer
+from .model import BFAEConfig, BFAEModel, train
 
 __all__ = [
     "PCAModel",
@@ -189,26 +191,22 @@ def fpca_reconstruct(model: FPCAModel, scores: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DenseLayer:
-    weights: np.ndarray   # (out, in)
-    biases: np.ndarray    # (out,)
-    activation: Activation
+class AEModel(BFAEModel):
+    """Plain fully connected autoencoder on flattened ``R*M`` vectors.
 
-
-@dataclass
-class AEModel:
-    """Plain fully connected autoencoder on flattened ``R*M`` vectors."""
-
-    layers: list
+    A dense layer is a continuous layer with one neuron on each side whose
+    grids have every quadrature weight equal to 1 (the counting measure), so
+    the AE runs on the BFAE's layer engine and training loop.  Its
+    ``latent_index`` is the bottleneck: the output of the narrowest layer.
+    """
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return len(self.data_grid)
 
     @property
     def bottleneck_index(self) -> int:
-        widths = [lay.weights.shape[0] for lay in self.layers]
-        return int(np.argmin(widths)) + 1
+        return self.latent_index
 
 
 def ae_widths_from_config(config: BFAEConfig) -> list:
@@ -216,45 +214,10 @@ def ae_widths_from_config(config: BFAEConfig) -> list:
     return [j * m for j, m in zip(config.feature_counts, config.grid_sizes)]
 
 
-def _init_dense(widths, activations, seed) -> AEModel:
-    rng = np.random.default_rng(seed)
-    layers = []
-    for ell in range(len(widths) - 1):
-        fan_in, fan_out = widths[ell], widths[ell + 1]
-        c = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(
-            DenseLayer(
-                weights=rng.uniform(-c, c, size=(fan_out, fan_in)),
-                biases=np.zeros(fan_out),
-                activation=Activation(activations[ell]),
-            )
-        )
-    return AEModel(layers=layers)
-
-
-def _dense_forward(model: AEModel, x: np.ndarray):
-    caches = []
-    h = x
-    for lay in model.layers:
-        pre = h @ lay.weights.T + lay.biases
-        caches.append((h, pre))
-        h = lay.activation.apply(pre)
-    return h, caches
-
-
-def _dense_gradients(model: AEModel, x: np.ndarray):
-    """Exact gradients of the mean squared reconstruction error."""
-    n = x.shape[0]
-    xhat, caches = _dense_forward(model, x)
-    loss = float(((xhat - x) ** 2).sum(axis=1).mean())
-    upstream = 2.0 / n * (xhat - x)
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        inp, pre = caches[i]
-        delta = upstream * model.layers[i].activation.derivative(pre)
-        grads[i] = (delta.T @ inp, delta.sum(axis=0))
-        upstream = delta @ model.layers[i].weights
-    return loss, grads
+def _unit_grid(width: int) -> Grid:
+    # ``width`` points spread over [0, width], so unit weights sum to the span
+    points = np.linspace(0.0, width, width) if width > 1 else np.array([0.5])
+    return Grid(points=points, quad_weights=np.ones(width))
 
 
 def ae_fit(
@@ -265,7 +228,11 @@ def ae_fit(
     epochs: int = 2000,
     seed: int = 0,
 ) -> tuple:
-    """Train by full-batch gradient descent; returns ``(model, history)``."""
+    """Train by full-batch gradient descent; returns ``(model, history)``.
+
+    Weights start Glorot-uniform, drawn layer by layer from one generator
+    seeded with ``seed``; biases start at zero.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be (n, d)")
@@ -274,26 +241,32 @@ def ae_fit(
         raise ValueError("first and last widths must equal the data dimension")
     if activations is None:
         activations = ["tanh"] * (len(widths) - 2) + ["linear"]
-    model = _init_dense(widths, activations, seed)
-    losses = np.empty(epochs)
-    for epoch in range(epochs):
-        loss, grads = _dense_gradients(model, data)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"dense AE loss non-finite at epoch {epoch}; reduce lr")
-        losses[epoch] = loss
-        for lay, (gw, gb) in zip(model.layers, grads):
-            lay.weights -= lr * gw
-            lay.biases -= lr * gb
-    return model, TrainHistory(losses=losses)
+    rng = np.random.default_rng(seed)
+    grids = [_unit_grid(width) for width in widths]
+    layers = []
+    for ell in range(len(widths) - 1):
+        fan_in, fan_out = widths[ell], widths[ell + 1]
+        c = np.sqrt(6.0 / (fan_in + fan_out))
+        layers.append(
+            ContinuousLayer(
+                in_grid=grids[ell],
+                out_grid=grids[ell + 1],
+                weights=rng.uniform(-c, c, size=(1, 1, fan_out, fan_in)),
+                biases=np.zeros((1, fan_out)),
+                activation=Activation(activations[ell]),
+            )
+        )
+    # ``train`` reads only these optimization settings from ``model.config``
+    settings = SimpleNamespace(lr=lr, epochs=epochs, momentum=0.0, batch_size=None)
+    model = AEModel(
+        layers=layers, latent_index=int(np.argmin(widths[1:])) + 1, config=settings
+    )
+    return model, train(model, data[:, None, :])
 
 
 def ae_encode(model: AEModel, data: np.ndarray) -> np.ndarray:
-    h = np.asarray(data, dtype=np.float64)
-    for lay in model.layers[: model.bottleneck_index]:
-        h = lay.activation.apply(h @ lay.weights.T + lay.biases)
-    return h
+    return model.encode(np.asarray(data, dtype=np.float64)[:, None, :])[:, 0, :]
 
 
 def ae_reconstruct(model: AEModel, data: np.ndarray) -> np.ndarray:
-    out, _ = _dense_forward(model, np.asarray(data, dtype=np.float64))
-    return out
+    return model.reconstruct(np.asarray(data, dtype=np.float64)[:, None, :])[:, 0, :]

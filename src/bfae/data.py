@@ -32,6 +32,7 @@ __all__ = [
     "SplitSpec",
     "load_csv",
     "save_csv",
+    "split_indices",
     "train_test_split",
     "Standardizer",
 ]
@@ -44,7 +45,9 @@ class FunctionalDataset:
     """``N x R x M`` functional samples on a shared grid.
 
     ``labels`` is an optional length-``N`` array of per-sample responses
-    (categorical strings or reals).
+    (categorical strings or reals).  ``values`` is stored as a read-only
+    view of the given array, not a copy: the caller's array stays writeable,
+    and edits made through it show in the dataset.
     """
 
     values: np.ndarray
@@ -53,7 +56,7 @@ class FunctionalDataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64).view()
         if vals.ndim != 3:
             raise ValueError(f"values must be N x R x M, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
@@ -116,9 +119,12 @@ class SplitSpec:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
-def train_test_split(dataset: FunctionalDataset, spec: SplitSpec):
-    """Split into disjoint (train, test) datasets, deterministic under seed."""
-    n = dataset.n_samples
+def split_indices(n: int, spec: SplitSpec):
+    """Disjoint (train, test) index arrays covering ``range(n)``.
+
+    With ``spec.shuffle`` the order is a permutation seeded by ``spec.seed``;
+    without it the first samples train.  Each part gets at least one sample.
+    """
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     n_train = int(round(spec.train_fraction * n))
@@ -127,7 +133,13 @@ def train_test_split(dataset: FunctionalDataset, spec: SplitSpec):
         order = np.random.default_rng(spec.seed).permutation(n)
     else:
         order = np.arange(n)
-    return dataset.subset(order[:n_train]), dataset.subset(order[n_train:])
+    return order[:n_train], order[n_train:]
+
+
+def train_test_split(dataset: FunctionalDataset, spec: SplitSpec):
+    """Split into disjoint (train, test) datasets, deterministic under seed."""
+    train_idx, test_idx = split_indices(dataset.n_samples, spec)
+    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 # --- CSV + sidecar I/O -------------------------------------------------------

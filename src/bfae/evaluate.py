@@ -17,6 +17,7 @@ import numpy as np
 from . import baselines
 from .data import FunctionalDataset, Standardizer
 from .grids import Grid
+from .layers import _sigmoid
 from .model import BFAEConfig, bottleneck_config, build, train
 
 __all__ = [
@@ -79,15 +80,6 @@ def _as_curve_matrix(curves: np.ndarray) -> np.ndarray:
     if curves.ndim != 2:
         raise ValueError("curves must be (n, m) or (n, 1, m)")
     return curves
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def flm_classify_fit(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitSpec, load_csv, save_csv, train_test_split
+from .data import SplitSpec, load_csv, save_csv, split_indices, train_test_split
 from .evaluate import (
     PipelineConfig,
     PipelineData,
@@ -459,9 +459,7 @@ def run_realdata(cfg: dict, out_dir):
         task = "classify"
     else:
         temp, demand = _adelaide_data(cfg)
-        order = np.random.default_rng(split.seed).permutation(temp.n_samples)
-        n_train = int(round(split.train_fraction * temp.n_samples))
-        tr_idx, te_idx = order[:n_train], order[n_train:]
+        tr_idx, te_idx = split_indices(temp.n_samples, split)
         data = PipelineData(
             train_inputs=temp.subset(tr_idx),
             test_inputs=temp.subset(te_idx),

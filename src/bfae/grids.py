@@ -26,15 +26,16 @@ __all__ = [
 class Grid:
     """Strictly increasing timepoints on ``[a, b]`` with trapezoidal weights.
 
-    Instances are immutable; the underlying arrays are marked read-only so a
-    grid can be shared freely across workers.
+    Instances are immutable; the grid keeps read-only copies of the given
+    arrays, so a grid can be shared freely across workers and the caller's
+    arrays stay writeable.
     """
 
     points: np.ndarray
     quad_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("grid points must be a nonempty 1-D array")
         if not np.all(np.diff(pts) > 0):
@@ -44,13 +45,13 @@ class Grid:
             # trapezoid rule exists, so the weight must be given explicitly
             if self.quad_weights is None:
                 raise ValueError("a single-point grid needs an explicit quad weight")
-            qw = np.asarray(self.quad_weights, dtype=np.float64)
+            qw = np.array(self.quad_weights, dtype=np.float64)
             if qw.shape != pts.shape or qw[0] <= 0:
                 raise ValueError("quad_weights must be one positive value")
         elif self.quad_weights is None:
             qw = trapezoid_weights(pts)
         else:
-            qw = np.asarray(self.quad_weights, dtype=np.float64)
+            qw = np.array(self.quad_weights, dtype=np.float64)
             if qw.shape != pts.shape:
                 raise ValueError("quad_weights length must match points")
             if np.any(qw <= 0):

@@ -153,10 +153,9 @@ def bottleneck_config(
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training loss, plus validation loss when supplied."""
+    """Per-epoch training loss."""
 
     losses: np.ndarray
-    val_losses: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -276,11 +275,7 @@ def model_gradients(model: BFAEModel, x: np.ndarray):
     return loss, grads
 
 
-def train(
-    model: BFAEModel,
-    train_values: np.ndarray,
-    val_values: Optional[np.ndarray] = None,
-) -> TrainHistory:
+def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
     """Gradient-descent training using the model config's lr/epochs.
 
     Full batch by default; with ``config.batch_size`` set, fixed contiguous
@@ -304,7 +299,6 @@ def train(
         batches = [slice(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
 
     losses = np.empty(cfg.epochs)
-    val_losses = np.empty(cfg.epochs) if val_values is not None else None
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for sl in batches:
@@ -332,12 +326,8 @@ def train(
                 + "; reduce lr"
             )
         losses[epoch] = epoch_loss
-        if val_losses is not None:
-            val_losses[epoch] = reconstruction_loss(
-                val_values, model.reconstruct(val_values), grid
-            )
         model.trained_epochs += 1
-    return TrainHistory(losses=losses, val_losses=val_losses)
+    return TrainHistory(losses=losses)
 
 
 # --- serialization -------------------------------------------------------------

@@ -45,22 +45,6 @@ class Report:
         for d in dicts:
             self.add(**d)
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
-    def select(self, **conditions) -> list:
-        """Rows (as dicts) matching all given column=value conditions."""
-        idx = {c: self.columns.index(c) for c in conditions}
-        out = []
-        for row in self.rows:
-            if all(row[idx[c]] == v for c, v in conditions.items()):
-                out.append(dict(zip(self.columns, row)))
-        return out
-
-    def values(self, **conditions) -> np.ndarray:
-        return np.array([d["value"] for d in self.select(**conditions)], dtype=np.float64)
-
     def write_csv(self, path) -> Path:
         path = Path(path)
         lines = [",".join(self.columns)]

@@ -13,11 +13,10 @@ from bfae.baselines import (
     pca_encode,
     pca_fit,
     pca_reconstruct,
-    _dense_gradients,
-    _init_dense,
 )
 from bfae.grids import inner_product, make_uniform_grid
-from bfae.model import bottleneck_config
+from bfae.layers import Activation
+from bfae.model import bottleneck_config, model_gradients
 
 
 class TestPCA:
@@ -167,21 +166,82 @@ class TestFPCA:
             fpca_fit(np.ones((5, 1, 6)), self.grid(6))
 
 
+def dense_reference(data, widths, activations, lr, epochs, seed):
+    """The dense AE as plain matrix algebra: Glorot-uniform weights drawn layer
+    by layer from one generator, zero biases, then full-batch gradient descent
+    on the mean squared reconstruction error.
+
+    Returns ``(params, losses, forward)`` with ``params`` a list of
+    ``[weights (out, in), biases (out,)]`` and ``forward(x)`` the network output.
+    """
+    rng = np.random.default_rng(seed)
+    params = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        c = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append([rng.uniform(-c, c, size=(fan_out, fan_in)), np.zeros(fan_out)])
+    acts = [Activation(a) for a in activations]
+
+    def forward(x):
+        caches, h = [], x
+        for (w, b), act in zip(params, acts):
+            pre = h @ w.T + b
+            caches.append((h, pre))
+            h = act.apply(pre)
+        return h, caches
+
+    losses = np.empty(epochs)
+    for epoch in range(epochs):
+        xhat, caches = forward(data)
+        losses[epoch] = ((xhat - data) ** 2).sum(axis=1).mean()
+        upstream = 2.0 / data.shape[0] * (xhat - data)
+        for (w, b), act, (inp, pre) in reversed(list(zip(params, acts, caches))):
+            delta = upstream * act.derivative(pre)
+            upstream = delta @ w
+            w -= lr * (delta.T @ inp)
+            b -= lr * delta.sum(axis=0)
+    return params, losses, lambda x: forward(x)[0]
+
+
 class TestDenseAE:
+    @pytest.mark.parametrize(
+        "widths, activations",
+        [
+            ([6, 1, 6], ["tanh", "linear"]),                 # 1-wide bottleneck
+            ([8, 4, 3, 8], ["tanh", "relu", "linear"]),     # three-layer stack
+            ([6, 3, 6], ["tanh", "sigmoid"]),               # non-linear output layer
+            ([6, 8, 6], ["tanh", "linear"]),                 # narrowest layer is the output
+        ],
+    )
+    def test_matches_dense_reference(self, widths, activations):
+        data = np.random.default_rng(15).standard_normal((12, widths[0]))
+        model, history = ae_fit(data, widths, activations, lr=0.03, epochs=60, seed=5)
+        params, losses, forward = dense_reference(data, widths, activations, 0.03, 60, 5)
+        for layer, (w, b) in zip(model.layers, params):
+            np.testing.assert_array_equal(layer.weights, w.reshape(1, 1, *w.shape))
+            np.testing.assert_array_equal(layer.biases, b[None, :])
+        np.testing.assert_array_equal(ae_reconstruct(model, data), forward(data))
+        np.testing.assert_allclose(history.losses, losses, rtol=1e-12, atol=0.0)
+
+    def test_narrowest_output_layer_encodes_to_reconstruction(self):
+        data = np.random.default_rng(16).standard_normal((5, 6))
+        model, _ = ae_fit(data, [6, 8, 6], lr=0.01, epochs=3, seed=6)
+        assert model.bottleneck_index == 2
+        np.testing.assert_array_equal(ae_encode(model, data), ae_reconstruct(model, data))
+
     def test_zero_lr_keeps_model(self):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((10, 6))
         model, history = ae_fit(data, [6, 3, 6], lr=0.0, epochs=5, seed=1)
-        ref = _init_dense([6, 3, 6], ["tanh", "linear"], 1)
-        for got, want in zip(model.layers, ref.layers):
-            np.testing.assert_array_equal(got.weights, want.weights)
+        params, _, _ = dense_reference(data, [6, 3, 6], ["tanh", "linear"], 0.0, 0, 1)
+        for got, (w, _) in zip(model.layers, params):
+            np.testing.assert_array_equal(got.weights[0, 0], w)
         assert np.ptp(history.losses) == 0.0
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((7, 5))
-        model = _init_dense([5, 3, 5], ["tanh", "linear"], seed=2)
-        _, grads = _dense_gradients(model, data)
+        model, _ = ae_fit(data, [5, 3, 5], lr=0.0, epochs=0, seed=2)
+        _, grads = model_gradients(model, data[:, None, :])
 
         def loss_fn():
             out = ae_reconstruct(model, data)
@@ -189,11 +249,11 @@ class TestDenseAE:
 
         for ell, layer in enumerate(model.layers):
             gw, gb = grads[ell]
-            idx = (1, 2)
+            idx = (0, 0, 1, 2)
             fd = finite_difference_gradient(loss_fn, layer.weights, [idx])[idx]
             assert abs(gw[idx] - fd) / max(abs(fd), 1e-10) < 1e-5
-            fd_b = finite_difference_gradient(loss_fn, layer.biases, [(0,)])[(0,)]
-            assert abs(gb[0] - fd_b) / max(abs(fd_b), 1e-10) < 1e-5
+            fd_b = finite_difference_gradient(loss_fn, layer.biases, [(0, 0)])[(0, 0)]
+            assert abs(gb[0, 0] - fd_b) / max(abs(fd_b), 1e-10) < 1e-5
 
     def test_training_descends_and_is_deterministic(self):
         rng = np.random.default_rng(13)

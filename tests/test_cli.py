@@ -1,11 +1,14 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from bfae.cli import main
+from bfae.data import save_csv
 from bfae.experiments import apply_overrides, config_hash, default_config, load_config
 from bfae.model import load_model
+from bfae.standins import make_adelaide_standin
 
 FAST_BENCH = [
     "--set", "replications=2",
@@ -202,6 +205,28 @@ class TestRealdataCommand:
         rows = [line.split(",") for line in lines[1:]]
         metrics = {r[3] for r in rows}
         assert "regression_rmse" in metrics and "reconstruction_rmse" in metrics
+
+    def test_adelaide_unshuffled_split_keeps_week_order(self, tmp_path):
+        temp, demand = make_adelaide_standin(n_weeks=20, m_points=8, seed=3)
+        paths = [save_csv(temp, tmp_path / "temp.csv"), save_csv(demand, tmp_path / "demand.csv")]
+        out = tmp_path / "ad"
+        main(["realdata", "--kind", "adelaide", "--out", str(out),
+              "--set", f"paths.adelaide_temperature={json.dumps(str(paths[0]))}",
+              "--set", f"paths.adelaide_demand={json.dumps(str(paths[1]))}",
+              "--set", "sim.n_samples=20", "--set", "sim.m_points=8",
+              "--set", "split.shuffle=false", "--set", "split.train_fraction=0.75",
+              "--set", "bfae.latent_points=8", "--set", "bfae.epochs=2",
+              "--set", "bfae_reduced_points=4", "--set", "ae.epochs=2",
+              "--set", "downstream.ridge=0.001"])
+        with open(out / "sample_curves.csv", newline="") as f:
+            curves = list(csv.DictReader(f))
+        # without shuffling the last quarter of the weeks tests, in order
+        for i, week in enumerate((15, 16, 17)):
+            for r, name in enumerate(temp.feature_names):
+                got = [float(row[f"sample{i}_{name}"]) for row in curves]
+                np.testing.assert_array_equal(got, temp.values[week, r])
+                got = [float(row[f"sample{i}_{demand.feature_names[r]}_output"]) for row in curves]
+                np.testing.assert_array_equal(got, demand.values[week, r])
 
     def test_missing_files_error_mentions_converter(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="CSV schema"):

@@ -37,6 +37,13 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="labels"):
             tiny_dataset(n=4, labels=np.array(["x", "y"]))
 
+    def test_caller_array_stays_writeable(self):
+        values = np.zeros((2, 1, 4))
+        ds = FunctionalDataset(values=values, grid=make_uniform_grid(0, 1, 4), feature_names=("a",))
+        assert values.flags.writeable
+        with pytest.raises(ValueError):
+            ds.values[0, 0, 0] = 1.0
+
 
 class TestCsvRoundTrip:
     def test_shapes_and_values(self, tmp_path):

@@ -61,6 +61,13 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             g.points[0] = 3.0
 
+    def test_caller_arrays_stay_writeable(self):
+        points, weights = np.array([0.0, 0.25, 1.0]), np.array([0.125, 0.5, 0.375])
+        g = Grid(points=points, quad_weights=weights)
+        assert points.flags.writeable and weights.flags.writeable
+        points[0] = -1.0
+        assert g.points[0] == 0.0
+
 
 class TestIntegrate:
     def test_constant_one(self):

@@ -200,14 +200,6 @@ class TestTrain:
         history = train(model, x)
         assert np.all(np.diff(history.losses) <= 1e-6)
 
-    def test_validation_losses_recorded(self):
-        cfg = bottleneck_config(1, 6, 1, 3, lr=0.5, epochs=10, seed=9)
-        model = build(cfg)
-        rng = np.random.default_rng(10)
-        history = train(model, rng.standard_normal((5, 1, 6)), rng.standard_normal((3, 1, 6)))
-        assert history.val_losses.shape == (10,)
-        assert np.all(np.isfinite(history.val_losses))
-
     def test_momentum_trains(self):
         cfg = bottleneck_config(1, 9, 1, 4, hidden="linear", lr=1.0, epochs=300,
                                 momentum=0.9, seed=11)
