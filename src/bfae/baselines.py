@@ -200,14 +200,6 @@ class AEModel(BFAEModel):
     ``latent_index`` is the bottleneck: the output of the narrowest layer.
     """
 
-    @property
-    def input_dim(self) -> int:
-        return len(self.data_grid)
-
-    @property
-    def bottleneck_index(self) -> int:
-        return self.latent_index
-
 
 def ae_widths_from_config(config: BFAEConfig) -> list:
     """Mirror a BFAE architecture: width ``J_l * M_l`` at every boundary."""

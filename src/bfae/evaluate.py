@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .data import FunctionalDataset, Standardizer
 from .grids import Grid
-from .layers import _sigmoid
+from .layers import Activation, ContinuousLayer, _sigmoid, layer_forward
 from .model import BFAEConfig, bottleneck_config, build, train
 
 __all__ = [
@@ -219,14 +219,11 @@ def fof_fit(
 
 
 def fof_predict(model: FoFRegression, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    r_out, r_in, m_out, m_in = model.surfaces.shape
-    if inputs.ndim != 3 or inputs.shape[1] != r_in or inputs.shape[2] != m_in:
-        raise ValueError(f"inputs shape {inputs.shape} does not match model")
-    n = inputs.shape[0]
-    design = (inputs * model.in_grid.quad_weights).reshape(n, r_in * m_in)
-    coef = model.surfaces.transpose(0, 2, 1, 3).reshape(r_out * m_out, r_in * m_in)
-    return (design @ coef.T).reshape(n, r_out, m_out) + model.intercepts
+    """The regression is one linear continuous layer with the fitted surfaces."""
+    layer = ContinuousLayer(
+        model.in_grid, model.out_grid, model.surfaces, model.intercepts, Activation("linear")
+    )
+    return layer_forward(layer, inputs)[0]
 
 
 # --- ridge selection ---------------------------------------------------------------

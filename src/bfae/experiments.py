@@ -50,6 +50,10 @@ KINDS = ("sim1", "sim10", "phoneme", "adelaide", "custom")
 def default_config(kind: str) -> dict:
     """Desk-scale defaults for each experiment kind.
 
+    This is the only place a default lives, and the schema that
+    :func:`load_config` and :func:`apply_overrides` check every key against:
+    each kind carries every key any command reads.
+
     Learning rates and epoch counts are calibration choices for these grid
     sizes (the discrete-exact gradients scale with the squared grid spacing,
     so usable learning rates grow roughly like M^2).
@@ -101,61 +105,62 @@ def default_config(kind: str) -> dict:
         cfg["ae"].update(lr=0.003, epochs=3000)
     elif kind == "phoneme":
         cfg["replications"] = 1
-        cfg["sim"] = {"n_samples": 800, "m_points": 150}
-        cfg["bfae"] = {
-            "latent_features": 1,
-            "latent_points": 150,
-            "n_layers": 2,
-            "hidden_activation": "tanh",
-            "lr": 100.0,
-            "epochs": 3000,
-            "init_scheme": "uniform",
-            "momentum": 0.0,
-        }
+        cfg["sim"].update(n_samples=800, m_points=150)
+        cfg["bfae"].update(latent_points=150, lr=100.0, epochs=3000)
         cfg["bfae_reduced_points"] = 30
         cfg["standardize"] = True
         cfg["standin_class_sep"] = 5.0
     elif kind == "adelaide":
         cfg["replications"] = 1
-        cfg["sim"] = {"n_samples": 508, "m_points": 48}
+        cfg["sim"].update(n_samples=508, m_points=48)
         cfg["split"]["train_fraction"] = 400.0 / 508.0
-        cfg["bfae"] = {
-            "latent_features": 4,
-            "latent_points": 48,
-            "n_layers": 2,
-            "hidden_activation": "tanh",
-            "lr": 30.0,
-            "epochs": 6000,
-            "init_scheme": "uniform",
-            "momentum": 0.0,
-        }
+        cfg["bfae"].update(latent_features=4, latent_points=48, epochs=6000)
         cfg["bfae_reduced_points"] = 12
         cfg["standardize"] = True
     return cfg
 
 
 def load_config(path) -> dict:
+    """Read a JSON config and merge it over ``default_config`` of its kind."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version: {version}")
-    base = default_config(cfg.get("kind", "custom"))
-    return _deep_merge(base, cfg)
+    return _merge(default_config(cfg.get("kind", "custom")), cfg)
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+def _merge(cfg: dict, override: dict, prefix: str = "") -> dict:
+    """Merge ``override`` into ``cfg`` in place, section by section.
+
+    ``cfg`` is the schema: an unknown key, or a section given where a value
+    belongs (or the reverse), raises ``ValueError`` naming the dotted path.
+    """
+    for key, value in override.items():
+        path = prefix + key
+        if key not in cfg:
+            import difflib  # error path only; keeps the package import lean
+
+            near = difflib.get_close_matches(key, list(cfg), n=1)
+            hint = f"did you mean {prefix + near[0]!r}?" if near else f"valid keys: {list(cfg)}"
+            raise ValueError(f"unknown config key {path!r}; {hint}")
+        if isinstance(cfg[key], dict) != isinstance(value, dict):
+            wanted = "a section" if isinstance(cfg[key], dict) else "a value"
+            raise ValueError(f"config key {path!r} takes {wanted}, got {value!r}")
+        if isinstance(value, dict):
+            _merge(cfg[key], value, path + ".")
         else:
-            out[key] = deepcopy(val)
-    return out
+            cfg[key] = deepcopy(value)
+    return cfg
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
-    """Apply ``dot.path=value`` overrides; values parse as JSON when possible."""
-    cfg = deepcopy(cfg)
+    """Apply ``dot.path=value`` overrides; values parse as JSON when possible.
+
+    Each override merges like a config file does, so a JSON object given for
+    a section updates only the keys it names.  ``kind`` picks the defaults
+    and the schema, so it cannot change here.
+    """
+    kind, cfg = cfg["kind"], deepcopy(cfg)
     for assignment in assignments:
         if "=" not in assignment:
             raise ValueError(f"override must look like key.path=value, got {assignment!r}")
@@ -164,11 +169,11 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        *heads, last = dotted.split(".")
-        for head in heads:
-            node = node.setdefault(head, {})
-        node[last] = value
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        _merge(cfg, value)
+    if cfg["kind"] != kind:
+        raise ValueError(f"kind is {kind!r}; start from default_config(kind) to change it")
     return cfg
 
 
@@ -190,40 +195,53 @@ def _derived_seeds(master_seed: int, replication: int, n: int = 4):
 
 def _sim_config(cfg: dict, seed: int) -> SimConfig:
     sim = cfg["sim"]
-    a, b = sim.get("interval", [0.0, 1.0])
-    grid = make_uniform_grid(a, b, sim["m_points"])
-    mat = sim.get("matern", {})
     return SimConfig(
         n_samples=sim["n_samples"],
-        n_features=sim.get("n_features", 1),
-        grid=grid,
-        matern=MaternParams(
-            sigma2=mat.get("sigma2", 1.0),
-            rho=mat.get("rho", 0.5),
-            nu=mat.get("nu", 2.5),
-        ),
-        noise_sd=sim.get("noise_sd", 0.1),
+        n_features=sim["n_features"],
+        grid=make_uniform_grid(*sim["interval"], sim["m_points"]),
+        matern=MaternParams(**sim["matern"]),
+        noise_sd=sim["noise_sd"],
         seed=seed,
     )
 
 
-def _bfae_config(cfg: dict, n_features: int, m_points: int, latent_points: int, seed: int):
+def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int):
+    """The configured BFAE for ``n_features`` curves on the data's ``grid``."""
     b = cfg["bfae"]
-    interval = tuple(cfg["sim"].get("interval", [0.0, 1.0]))
     return bottleneck_config(
         n_features=n_features,
-        n_points=m_points,
+        n_points=len(grid),
         latent_features=b["latent_features"],
         latent_points=latent_points,
-        n_layers=b.get("n_layers", 2),
-        hidden=b.get("hidden_activation", "tanh"),
-        interval=interval,
+        n_layers=b["n_layers"],
+        hidden=b["hidden_activation"],
+        interval=(grid.a, grid.b),
         lr=b["lr"],
         epochs=b["epochs"],
-        init_scheme=b.get("init_scheme", "uniform"),
-        momentum=b.get("momentum", 0.0),
+        init_scheme=b["init_scheme"],
+        momentum=b["momentum"],
         seed=seed,
     )
+
+
+def _methods(cfg: dict, grid, n_features: int, bfae_seed: int, with_none: bool):
+    """``(method, reducer, bfae_config)`` for every method a run fits, in report order.
+
+    Baselines that mirror an architecture (the dense AE) mirror the plain BFAE.
+    """
+    plain = _bfae_config(cfg, grid, n_features, cfg["bfae"]["latent_points"], bfae_seed)
+    reduced = _bfae_config(cfg, grid, n_features, cfg["bfae_reduced_points"], bfae_seed)
+    names = (["none"] if with_none else []) + [
+        name for name in ("pca", "ae", "fpca") if cfg["baselines"][name]
+    ]
+    return [(name, name, plain) for name in names] + [
+        ("bfae", "bfae", plain),
+        ("bfae_reduced", "bfae", reduced),
+    ]
+
+
+def _split(cfg: dict, seed: int) -> SplitSpec:
+    return SplitSpec(seed=seed, **cfg["split"])
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -240,7 +258,7 @@ def run_simulate(cfg: dict, out_dir) -> list:
         ds = make_phoneme_standin(
             n_samples=cfg["sim"]["n_samples"],
             m_points=cfg["sim"]["m_points"],
-            class_sep=cfg.get("standin_class_sep", 5.0),
+            class_sep=cfg["standin_class_sep"],
             seed=sim_seed,
         )
         written.append(save_csv(ds, out_dir / "phoneme_standin.csv"))
@@ -271,14 +289,12 @@ def run_train(cfg: dict, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim_seed, _, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
-    dataset_path = cfg["paths"].get("dataset")
+    dataset_path = cfg["paths"]["dataset"]
     if dataset_path:
         ds = load_csv(dataset_path)
     else:
         ds = sample_gp(_sim_config(cfg, sim_seed))
-    model_cfg = _bfae_config(
-        cfg, ds.n_features, ds.n_points, cfg["bfae"]["latent_points"], bfae_seed
-    )
+    model_cfg = _bfae_config(cfg, ds.grid, ds.n_features, cfg["bfae"]["latent_points"], bfae_seed)
     model = build(model_cfg)
     history = train(model, ds.values)
     model_path = save_model(model, out_dir / "model.json")
@@ -293,39 +309,20 @@ def run_train(cfg: dict, out_dir) -> list:
 # --- benchmark ---------------------------------------------------------------------
 
 
-def _benchmark_methods(cfg: dict):
-    methods = []
-    toggles = cfg["baselines"]
-    for name in ("pca", "ae", "fpca"):
-        if toggles.get(name, True):
-            methods.append(name)
-    methods.extend(["bfae", "bfae_reduced"])
-    return methods
-
-
 def _benchmark_replication(args):
     cfg, rep = args
     sim_seed, split_seed, bfae_seed, ae_seed = _derived_seeds(cfg["master_seed"], rep)
     sim_cfg = _sim_config(cfg, sim_seed)
     ds = sample_gp(sim_cfg)
-    split = SplitSpec(
-        train_fraction=cfg["split"]["train_fraction"],
-        seed=split_seed,
-        shuffle=cfg["split"].get("shuffle", True),
-    )
-    train_ds, test_ds = train_test_split(ds, split)
+    train_ds, test_ds = train_test_split(ds, _split(cfg, split_seed))
     n, r, m = ds.values.shape
-    plain_cfg = _bfae_config(cfg, r, m, cfg["bfae"]["latent_points"], bfae_seed)
-    reduced_cfg = _bfae_config(cfg, r, m, cfg["bfae_reduced_points"], bfae_seed)
 
     rows = []
     figure = None
     ok = True
-    for method in _benchmark_methods(cfg):
-        reducer = "bfae" if method in ("bfae", "bfae_reduced") else method
-        model_cfg = {"bfae": plain_cfg, "bfae_reduced": reduced_cfg}.get(method, plain_cfg)
-        m_latent = model_cfg.latent_shape[1] if method.startswith("bfae") else None
-        r_latent = model_cfg.latent_shape[0] if method.startswith("bfae") else None
+    for method, reducer, model_cfg in _methods(cfg, ds.grid, r, bfae_seed, with_none=False):
+        m_latent = model_cfg.latent_shape[1] if reducer == "bfae" else None
+        r_latent = model_cfg.latent_shape[0] if reducer == "bfae" else None
         base = {
             "method": method, "n": n, "m": m, "r": r,
             "m_latent": m_latent, "r_latent": r_latent, "replication": rep,
@@ -386,7 +383,7 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
         report.write_json(out_dir / "report.json"),
     ]
     if figure is not None:
-        columns = ["t", "truth"] + [m for m in _benchmark_methods(cfg) if m in figure]
+        columns = list(figure)  # t, truth, then each method that reconstructed
         lines = [",".join(columns)]
         for i in range(len(figure["t"])):
             lines.append(",".join(format(float(figure[c][i]), ".17g") for c in columns))
@@ -401,9 +398,9 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
 
 def _phoneme_data(cfg: dict):
     paths = cfg["paths"]
-    if paths.get("phoneme"):
+    if paths["phoneme"]:
         return load_csv(paths["phoneme"], expect_m=cfg["sim"]["m_points"])
-    if not cfg.get("standin", True):
+    if not cfg["standin"]:
         raise FileNotFoundError(
             "no phoneme CSV configured and stand-in mode is off; convert the "
             "source data to the documented CSV schema and set paths.phoneme, "
@@ -413,20 +410,20 @@ def _phoneme_data(cfg: dict):
     return make_phoneme_standin(
         n_samples=cfg["sim"]["n_samples"],
         m_points=cfg["sim"]["m_points"],
-        class_sep=cfg.get("standin_class_sep", 5.0),
+        class_sep=cfg["standin_class_sep"],
         seed=seed,
     )
 
 
 def _adelaide_data(cfg: dict):
     paths = cfg["paths"]
-    if paths.get("adelaide_temperature") and paths.get("adelaide_demand"):
+    if paths["adelaide_temperature"] and paths["adelaide_demand"]:
         temp = load_csv(paths["adelaide_temperature"], expect_m=cfg["sim"]["m_points"])
         demand = load_csv(paths["adelaide_demand"], expect_m=cfg["sim"]["m_points"])
         if temp.n_samples != demand.n_samples:
             raise ValueError("temperature and demand files must pair sample for sample")
         return temp, demand
-    if not cfg.get("standin", True):
+    if not cfg["standin"]:
         raise FileNotFoundError(
             "no Adelaide CSVs configured and stand-in mode is off; convert the "
             "source data to the documented CSV schema and set "
@@ -446,11 +443,7 @@ def run_realdata(cfg: dict, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split_seed, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
-    split = SplitSpec(
-        train_fraction=cfg["split"]["train_fraction"],
-        seed=split_seed,
-        shuffle=cfg["split"].get("shuffle", True),
-    )
+    split = _split(cfg, split_seed)
 
     if kind == "phoneme":
         ds = _phoneme_data(cfg)
@@ -468,22 +461,16 @@ def run_realdata(cfg: dict, out_dir):
         )
         task = "regress"
 
-    r, m = data.train_inputs.n_features, data.train_inputs.n_points
-    plain_cfg = _bfae_config(cfg, r, m, cfg["bfae"]["latent_points"], bfae_seed)
-    reduced_cfg = _bfae_config(cfg, r, m, cfg["bfae_reduced_points"], bfae_seed)
+    inputs = data.train_inputs
+    methods = _methods(cfg, inputs.grid, inputs.n_features, bfae_seed, with_none=True)
     chash = config_hash(cfg)
 
     report = Report(columns=PIPELINE_COLUMNS)
     ok = True
-    methods = ["none"] + [
-        name for name in ("pca", "ae", "fpca") if cfg["baselines"].get(name, True)
-    ] + ["bfae", "bfae_reduced"]
-    for method in methods:
-        reducer = "bfae" if method in ("bfae", "bfae_reduced") else method
-        model_cfg = {"bfae": plain_cfg, "bfae_reduced": reduced_cfg}.get(method, plain_cfg)
+    for method, reducer, model_cfg in methods:
         pipe_cfg = PipelineConfig(
             bfae=model_cfg,
-            ridge=cfg["downstream"].get("ridge"),
+            ridge=cfg["downstream"]["ridge"],
             standardize=cfg["standardize"],
             variance_target=cfg["variance_target"],
             ae_lr=cfg["ae"]["lr"],

@@ -225,7 +225,7 @@ class TestDenseAE:
     def test_narrowest_output_layer_encodes_to_reconstruction(self):
         data = np.random.default_rng(16).standard_normal((5, 6))
         model, _ = ae_fit(data, [6, 8, 6], lr=0.01, epochs=3, seed=6)
-        assert model.bottleneck_index == 2
+        assert model.latent_index == 2
         np.testing.assert_array_equal(ae_encode(model, data), ae_reconstruct(model, data))
 
     def test_zero_lr_keeps_model(self):

@@ -5,8 +5,19 @@ import numpy as np
 import pytest
 
 from bfae.cli import main
-from bfae.data import save_csv
-from bfae.experiments import apply_overrides, config_hash, default_config, load_config
+from bfae.data import load_csv, save_csv
+from bfae.experiments import (
+    KINDS,
+    _methods,
+    _sim_config,
+    apply_overrides,
+    config_hash,
+    default_config,
+    load_config,
+    run_train,
+)
+from bfae.gp import SimConfig, sample_gp
+from bfae.grids import make_uniform_grid
 from bfae.model import load_model
 from bfae.standins import make_adelaide_standin
 
@@ -61,6 +72,47 @@ class TestConfigHandling:
         path.write_text(json.dumps({"schema_version": 9, "kind": "sim1"}))
         with pytest.raises(ValueError, match="schema_version"):
             load_config(path)
+
+    def test_misspelled_override_names_the_nearest_key(self):
+        cfg = default_config("sim1")
+        with pytest.raises(ValueError, match=r"'bfae\.epochs'"):
+            apply_overrides(cfg, ["bfae.epoch=10"])
+        assert cfg["bfae"]["epochs"] == 5000
+
+    def test_misspelled_config_file_key_names_the_nearest_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "sim1", "bfae": {"epoch": 10}}))
+        with pytest.raises(ValueError, match=r"'bfae\.epochs'"):
+            main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("assignment, wanted", [
+        ("bfae=3", "takes a section"),
+        ('bfae.lr={"a": 1}', "takes a value"),
+    ])
+    def test_section_value_mismatch_rejected(self, assignment, wanted):
+        with pytest.raises(ValueError, match=wanted):
+            apply_overrides(default_config("sim1"), [assignment])
+
+    def test_kind_override_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            apply_overrides(default_config("sim1"), ["kind=phoneme"])
+
+    def test_section_override_merges_key_by_key(self):
+        cfg = apply_overrides(default_config("sim1"), ['sim.matern={"rho": 0.3}'])
+        assert cfg["sim"]["matern"] == {"sigma2": 1.0, "rho": 0.3, "nu": 2.5}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_carries_the_keys_its_builders_read(self, kind):
+        cfg = default_config(kind)
+        sim = _sim_config(cfg, 0)
+        methods = _methods(cfg, sim.grid, sim.n_features, bfae_seed=0, with_none=True)
+        assert [name for name, _, _ in methods] == [
+            "none", "pca", "ae", "fpca", "bfae", "bfae_reduced"
+        ]
+        assert methods[-1][2].latent_shape == (
+            cfg["bfae"]["latent_features"], cfg["bfae_reduced_points"]
+        )
 
     def test_config_hash_stable(self):
         a = default_config("sim1")
@@ -119,6 +171,20 @@ class TestTrainCommand:
                      "--set", "bfae.latent_points=6"])
         assert code == 0
         assert (out / "model.json").exists()
+
+
+    def test_model_grid_follows_the_dataset(self, tmp_path):
+        grid = make_uniform_grid(0.0, 2.0, 6)
+        ds = sample_gp(SimConfig(n_samples=8, n_features=1, grid=grid, seed=1))
+        data_path = save_csv(ds, tmp_path / "data.csv")
+        cfg = apply_overrides(default_config("sim1"), [
+            f"paths.dataset={json.dumps(str(data_path))}",
+            "bfae.epochs=3", "bfae.lr=1.0", "bfae.latent_points=6",
+        ])
+        model_path, _ = run_train(cfg, tmp_path / "train")
+        model = load_model(model_path)
+        assert model.config.interval == (0.0, 2.0)
+        assert model.data_grid == load_csv(data_path).grid
 
 
 class TestBenchmarkCommand:
