@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .data import FunctionalDataset, Standardizer
 from .grids import Grid
-from .layers import Activation, ContinuousLayer, _sigmoid, layer_forward
+from .layers import Activation, ContinuousLayer, _sigmoid, _surfaces, layer_forward
 from .model import BFAEConfig, bottleneck_config, build, train
 
 __all__ = [
@@ -206,14 +206,11 @@ def fof_fit(
     gram = xc.T @ xc / n + ridge * np.eye(r_in * m_in)
     coef = np.linalg.solve(gram, xc.T @ yc / n)  # (r_in*m_in, r_out*m_out)
     intercept = y_mean - x_mean @ coef
-    surfaces = (
-        coef.T.reshape(r_out, m_out, r_in, m_in).transpose(0, 2, 1, 3).copy()
-    )
     return FoFRegression(
         in_grid=in_grid,
         out_grid=out_grid,
         intercepts=intercept.reshape(r_out, m_out),
-        surfaces=surfaces,
+        surfaces=_surfaces(coef.T, r_out, r_in),
         ridge=ridge,
     )
 

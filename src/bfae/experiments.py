@@ -285,11 +285,14 @@ def run_simulate(cfg: dict, out_dir) -> list:
 
 
 def run_train(cfg: dict, out_dir) -> list:
-    """Train the configured model on the dataset (file or fresh simulation)."""
+    """Train the configured model on the dataset (file, or fresh simulation for sim kinds)."""
+    dataset_path = cfg["paths"]["dataset"]
+    if not dataset_path and cfg["kind"] in ("phoneme", "adelaide"):
+        raise ValueError(f"train --kind {cfg['kind']} needs paths.dataset; to fit the "
+                         f"{cfg['kind']} data or stand-in, run bfae realdata --kind {cfg['kind']}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim_seed, _, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
-    dataset_path = cfg["paths"]["dataset"]
     if dataset_path:
         ds = load_csv(dataset_path)
     else:

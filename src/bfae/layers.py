@@ -46,30 +46,36 @@ class Activation:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}; choose from {ACTIVATION_KINDS}")
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """``act(z)``, into ``out`` if given; linear returns ``z`` itself."""
         if self.kind == "relu":
-            return np.maximum(z, 0.0)
+            return np.maximum(z, 0.0, out=out)
         if self.kind == "tanh":
-            return np.tanh(z)
+            return np.tanh(z, out=out)
         if self.kind == "sigmoid":
-            return _sigmoid(z)
+            return _sigmoid(z, out)
         return z
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
+        return self.backward(np.ones_like(z), z, self.apply(z), np.empty_like(z))
+
+    def backward(self, upstream: np.ndarray, z: np.ndarray, a: np.ndarray, out: np.ndarray):
+        """``upstream * derivative(z)`` into ``out``, given ``a = apply(z)``;
+        linear returns ``upstream`` itself."""
+        if self.kind == "linear":
+            return upstream
         if self.kind == "relu":
-            return np.where(z > 0, 1.0, 0.0)
-        if self.kind == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        if self.kind == "sigmoid":
-            s = _sigmoid(z)
-            return s * (1.0 - s)
-        return np.ones_like(z)
+            np.greater(z, 0.0, out=out)
+        elif self.kind == "tanh":
+            np.subtract(1.0, np.multiply(a, a, out=out), out=out)
+        else:
+            np.multiply(a, np.subtract(1.0, a, out=out), out=out)
+        return np.multiply(out, upstream, out=out)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
+    out = np.empty_like(z) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -81,9 +87,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class ContinuousLayer:
     """One continuous layer: weight surfaces, bias functions, activation.
 
-    ``weights`` has shape ``(j_out, j_in, m_out, m_in)``: one surface value
-    matrix per (outgoing neuron, incoming neuron) pair.  ``biases`` has shape
-    ``(j_out, m_out)``.
+    Stored in the layout it multiplies by: ``matrix`` ``(j_out*m_out, j_in*m_in)``
+    (rows over ``(r, s)``, columns over ``(j, t)``), ``bias`` ``(j_out*m_out,)``
+    and ``quad``, the input quadrature weights tiled over ``j_in``, or ``None``
+    when all are 1 (the dense AE).  ``weights`` ``(j_out, j_in, m_out, m_in)``
+    and ``biases`` ``(j_out, m_out)`` are writable views of that storage; the
+    arrays passed in are copied.
     """
 
     in_grid: Grid
@@ -107,59 +116,73 @@ class ContinuousLayer:
             raise ValueError(f"biases must be (j_out, m_out) = ({j_out}, {m_out})")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters must be finite")
-        self.weights = w
-        self.biases = b
-
-    @property
-    def j_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def j_out(self) -> int:
-        return self.weights.shape[0]
+        self.j_out, self.j_in = j_out, j_in
+        self.matrix = np.array(w.transpose(0, 2, 1, 3), order="C").reshape(j_out * m_out, -1)
+        self.bias = np.array(b).reshape(-1)
+        self.weights = _surfaces(self.matrix, j_out, j_in)
+        self.biases = self.bias.reshape(j_out, m_out)
+        qw = self.in_grid.quad_weights
+        self.quad = None if np.all(qw == 1.0) else np.tile(qw, j_in)
 
     def copy(self) -> "ContinuousLayer":
-        return ContinuousLayer(
-            in_grid=self.in_grid,
-            out_grid=self.out_grid,
-            weights=self.weights.copy(),
-            biases=self.biases.copy(),
-            activation=self.activation,
-        )
+        return ContinuousLayer(self.in_grid, self.out_grid, self.weights, self.biases, self.activation)
 
 
-@dataclass
+def _surfaces(matrix: np.ndarray, j_out: int, j_in: int) -> np.ndarray:
+    # the (j_out, j_in, m_out, m_in) view of a (j_out * m_out, j_in * m_in) matrix
+    return matrix.reshape(j_out, matrix.shape[0] // j_out, j_in, -1).transpose(0, 2, 1, 3)
+
+
 class LayerCache:
-    """Forward-pass intermediates needed by :func:`layer_backward`."""
+    """Workspace of one layer for one batch size: ``input`` (the raw input)
+    plus buffers that :func:`layer_forward` (weighted input, pre-activation,
+    activation) and, once made by the first backward pass,
+    :func:`layer_backward` (delta, gradients) and :func:`sgd_step` write."""
 
-    input: np.ndarray          # (batch, j_in, m_in)
-    pre_activation: np.ndarray  # (batch, j_out, m_out)
+    def __init__(self, layer: ContinuousLayer, batch: int):
+        self.input = self.grad_input = self.step_weights = self.step_biases = None
+        self.weighted = None if layer.quad is None else np.empty((batch, layer.matrix.shape[1]))
+        self.pre_activation = np.empty((batch, layer.j_out, len(layer.out_grid)))
+        linear = layer.activation.kind == "linear"
+        self.output = self.pre_activation if linear else np.empty_like(self.pre_activation)
+
+    def _backward_buffers(self, layer: ContinuousLayer):
+        self.delta = None if self.output is self.pre_activation else np.empty_like(self.output)
+        self.grad_matrix = np.empty_like(layer.matrix)
+        self.grad_weights = _surfaces(self.grad_matrix, layer.j_out, layer.j_in)
+        self.grad_biases, self.step_biases = np.empty_like(layer.biases), np.empty_like(layer.biases)
+        self.step_weights = np.empty_like(layer.weights)  # same memory order as the weights
+        self.grad_input = np.empty(self.input.shape)
 
 
-def layer_forward(layer: ContinuousLayer, x: np.ndarray):
+def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = None):
     """Apply the layer to a batch ``(batch, j_in, m_in)``.
 
-    Returns ``(output, cache)`` with output ``(batch, j_out, m_out)``.
+    Returns ``(output, cache)`` with output ``(batch, j_out, m_out)``.  Without
+    ``cache`` the input is checked and a new cache made; with one, the caller
+    has checked the input and the results go into its buffers.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != layer.j_in or x.shape[2] != len(layer.in_grid):
-        raise ValueError(
-            f"input shape {x.shape} does not match (batch, {layer.j_in}, {len(layer.in_grid)})"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite layer input")
+    if cache is None:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1] != layer.j_in or x.shape[2] != len(layer.in_grid):
+            raise ValueError(
+                f"input shape {x.shape} does not match (batch, {layer.j_in}, {len(layer.in_grid)})"
+            )
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite layer input")
+        cache = LayerCache(layer, x.shape[0])
+    elif x.shape != (len(cache.pre_activation), layer.j_in, len(layer.in_grid)):
+        raise ValueError(f"input shape {x.shape} does not match the cache")
     n = x.shape[0]
-    m_out = len(layer.out_grid)
-    xw = (x * layer.in_grid.quad_weights).reshape(n, -1)
-    w_flat = _weights_as_matrix(layer.weights)
-    pre = (xw @ w_flat.T).reshape(n, layer.j_out, m_out) + layer.biases
-    return layer.activation.apply(pre), LayerCache(input=x, pre_activation=pre)
-
-
-def _weights_as_matrix(weights: np.ndarray) -> np.ndarray:
-    # (j_out, j_in, m_out, m_in) -> rows over (r, s), columns over (j, t)
-    j_out, j_in, m_out, m_in = weights.shape
-    return weights.transpose(0, 2, 1, 3).reshape(j_out * m_out, j_in * m_in)
+    cache.input = x
+    xw = x.reshape(n, -1)
+    if layer.quad is not None:
+        xw = np.multiply(xw, layer.quad, out=cache.weighted)
+    cache.weighted = xw
+    pre = cache.pre_activation.reshape(n, -1)
+    np.matmul(xw, layer.matrix.T, out=pre)
+    pre += layer.bias
+    return layer.activation.apply(cache.pre_activation, out=cache.output), cache
 
 
 def layer_backward(layer: ContinuousLayer, cache: LayerCache, upstream: np.ndarray):
@@ -168,34 +191,29 @@ def layer_backward(layer: ContinuousLayer, cache: LayerCache, upstream: np.ndarr
     ``upstream`` is the loss gradient w.r.t. the layer output.  Returns
     ``(grad_weights, grad_biases, grad_input)`` where the parameter gradients
     are summed over the batch and ``grad_input`` is the adjoint-propagated
-    per-sample gradient w.r.t. the layer input.
+    per-sample gradient w.r.t. the layer input, all in the cache's buffers.
     """
-    m_in, m_out = len(layer.in_grid), len(layer.out_grid)
     n = cache.input.shape[0]
-    if cache.input.shape != (n, layer.j_in, m_in) or cache.pre_activation.shape != (
-        n, layer.j_out, m_out,
+    if cache.input.shape != (n, layer.j_in, len(layer.in_grid)) or cache.pre_activation.shape != (
+        n, layer.j_out, len(layer.out_grid),
     ):
         raise ValueError("stale cache: shapes do not match this layer")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (n, layer.j_out, m_out):
+    if upstream.shape != cache.pre_activation.shape:
         raise ValueError(
             f"upstream shape {upstream.shape} does not match (batch, j_out, m_out)"
         )
-    delta = upstream * layer.activation.derivative(cache.pre_activation)
-    grad_biases = delta.sum(axis=0)
-    delta_flat = delta.reshape(n, -1)
-    xw = (cache.input * layer.in_grid.quad_weights).reshape(n, -1)
-    grad_weights = (
-        (delta_flat.T @ xw)
-        .reshape(layer.j_out, m_out, layer.j_in, m_in)
-        .transpose(0, 2, 1, 3)
-        .copy()
-    )
-    grad_input = (delta_flat @ _weights_as_matrix(layer.weights)).reshape(
-        n, layer.j_in, m_in
-    )
-    grad_input *= layer.in_grid.quad_weights
-    return grad_weights, grad_biases, grad_input
+    if cache.grad_input is None:
+        cache._backward_buffers(layer)
+    delta = layer.activation.backward(upstream, cache.pre_activation, cache.output, cache.delta)
+    delta = delta.reshape(n, -1)
+    np.add.reduce(delta, axis=0, out=cache.grad_biases.reshape(-1))
+    np.matmul(delta.T, cache.weighted, out=cache.grad_matrix)
+    grad_input = cache.grad_input.reshape(n, -1)
+    np.matmul(delta, layer.matrix, out=grad_input)
+    if layer.quad is not None:
+        grad_input *= layer.quad
+    return cache.grad_weights, cache.grad_biases, cache.grad_input
 
 
 def init_layer(
@@ -235,14 +253,18 @@ def init_layer(
     )
 
 
-def sgd_step(layer: ContinuousLayer, grads, lr: float, batch_size: int = 1) -> ContinuousLayer:
-    """In-place update ``param -= (lr / batch_size) * grad``; returns the layer."""
+def sgd_step(layer: ContinuousLayer, grads, lr: float, cache: LayerCache = None) -> ContinuousLayer:
+    """In-place update ``param -= lr * grad``; returns the layer.
+
+    ``grads`` is left unchanged.  With a ``cache`` that has been through
+    :func:`layer_backward`, the step ``lr * grad`` goes into its buffers.
+    """
     if lr < 0:
         raise ValueError("lr must be >= 0")
     grad_w, grad_b = grads
     if grad_w.shape != layer.weights.shape or grad_b.shape != layer.biases.shape:
         raise ValueError("gradient shapes do not match layer parameters")
-    scale = lr / batch_size
-    layer.weights -= scale * grad_w
-    layer.biases -= scale * grad_b
+    weights, biases = layer.weights, layer.biases
+    weights -= np.multiply(grad_w, lr, out=None if cache is None else cache.step_weights)
+    biases -= np.multiply(grad_b, lr, out=None if cache is None else cache.step_biases)
     return layer

@@ -22,6 +22,7 @@ from .grids import Grid, make_uniform_grid
 from .layers import (
     Activation,
     ContinuousLayer,
+    LayerCache,
     init_layer,
     layer_backward,
     layer_forward,
@@ -43,8 +44,11 @@ __all__ = [
 ]
 
 
+DIVERGENCE_FACTOR = 1e6
+
+
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
 
 
 @dataclass(frozen=True)
@@ -177,24 +181,25 @@ class BFAEModel:
 
     def forward(self, x: np.ndarray):
         """Full reconstruction pass; returns ``(reconstruction, caches)``."""
-        x = self._check_batch(x)
-        caches = []
-        h = x
+        h, caches = self._check_batch(x), []
         for layer in self.layers:
-            h, cache = layer_forward(layer, h)
+            h, cache = layer_forward(layer, h, LayerCache(layer, len(h)))
             caches.append(cache)
         return h, caches
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Latent code: output of the layer at ``latent_index``."""
-        x = self._check_batch(x)
-        h = x
-        for layer in self.layers[: self.latent_index]:
-            h, _ = layer_forward(layer, h)
-        return h
+        return self._apply(self.layers[: self.latent_index], x)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        return self._apply(self.layers, x)
+
+    def _apply(self, layers, x: np.ndarray) -> np.ndarray:
+        # keeps no caches: a layer's buffers are freed once the next layer ran
+        h = self._check_batch(x)
+        for layer in layers:
+            h = layer_forward(layer, h, LayerCache(layer, len(h)))[0]
+        return h
 
     def copy(self) -> "BFAEModel":
         return BFAEModel(
@@ -205,7 +210,7 @@ class BFAEModel:
         )
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"batch must be (n, R, M), got shape {x.shape}")
         if x.shape[1] != self.n_features or x.shape[2] != len(self.data_grid):
@@ -213,6 +218,8 @@ class BFAEModel:
                 f"batch shape {x.shape[1:]} does not match model "
                 f"({self.n_features}, {len(self.data_grid)})"
             )
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite values in batch")
         return x
 
 
@@ -255,9 +262,26 @@ def reconstruction_loss(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> float:
     return float(((d * d) @ grid.quad_weights).sum(axis=1).mean())
 
 
-def _loss_upstream(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> np.ndarray:
-    # d(loss)/d(xhat): quadrature weights included
-    return (2.0 / x.shape[0]) * grid.quad_weights * (xhat - x)
+def _gradient_pass(model: BFAEModel, x: np.ndarray, workspaces: dict):
+    """Forward, loss (as in :func:`reconstruction_loss`) and backward of a
+    checked batch into caches made once per batch size in ``workspaces``;
+    returns ``(loss, caches)``, the caches holding the gradients."""
+    if len(x) not in workspaces:
+        caches = [LayerCache(layer, len(x)) for layer in model.layers]
+        workspaces[len(x)] = caches, np.empty(x.shape), np.empty(x.shape)
+    caches, residual, squares = workspaces[len(x)]
+    h = x
+    for layer, cache in zip(model.layers, caches):
+        h, _ = layer_forward(layer, h, cache)
+    qw = model.data_grid.quad_weights
+    np.subtract(h, x, out=residual)
+    np.multiply(residual, residual, out=squares)
+    loss = float((squares @ qw).sum(axis=1).mean())
+    residual *= (2.0 / len(x)) * qw
+    upstream = residual
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        upstream = layer_backward(layer, cache, upstream)[2]
+    return loss, caches
 
 
 def model_gradients(model: BFAEModel, x: np.ndarray):
@@ -265,14 +289,8 @@ def model_gradients(model: BFAEModel, x: np.ndarray):
 
     Returns ``(loss, [(grad_w, grad_b), ...])`` ordered like ``model.layers``.
     """
-    xhat, caches = model.forward(x)
-    loss = reconstruction_loss(x, xhat, model.data_grid)
-    upstream = _loss_upstream(x, xhat, model.data_grid)
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        gw, gb, upstream = layer_backward(model.layers[i], caches[i], upstream)
-        grads[i] = (gw, gb)
-    return loss, grads
+    loss, caches = _gradient_pass(model, model._check_batch(x), {})
+    return loss, [(cache.grad_weights, cache.grad_biases) for cache in caches]
 
 
 def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
@@ -280,11 +298,11 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 
     Full batch by default; with ``config.batch_size`` set, fixed contiguous
     mini-batches are visited in order each epoch.  Raises
-    :class:`TrainingDiverged` if the loss becomes non-finite.
+    :class:`TrainingDiverged` if the loss becomes non-finite or exceeds
+    ``DIVERGENCE_FACTOR`` times the first epoch's loss.
     """
     cfg = model.config
     x = model._check_batch(train_values)
-    grid = model.data_grid
     n = x.shape[0]
     momentum = cfg.momentum
     velocity = None
@@ -297,18 +315,17 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
         batches = [slice(0, n)]
     else:
         batches = [slice(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
+    workspaces = {}
 
     losses = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for sl in batches:
             xb = x[sl]
-            xhat, caches = model.forward(xb)
-            batch_loss = reconstruction_loss(xb, xhat, grid)
+            batch_loss, caches = _gradient_pass(model, xb, workspaces)
             epoch_loss += batch_loss * xb.shape[0]
-            upstream = _loss_upstream(xb, xhat, grid)
-            for i in range(len(model.layers) - 1, -1, -1):
-                gw, gb, upstream = layer_backward(model.layers[i], caches[i], upstream)
+            for i, (layer, cache) in enumerate(zip(model.layers, caches)):
+                gw, gb = cache.grad_weights, cache.grad_biases
                 if velocity is not None:
                     vw, vb = velocity[i]
                     vw *= momentum
@@ -316,16 +333,14 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
                     vb *= momentum
                     vb += gb
                     gw, gb = vw, vb
-                sgd_step(model.layers[i], (gw, gb), cfg.lr)
+                sgd_step(layer, (gw, gb), cfg.lr, cache)
         epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            last = losses[epoch - 1] if epoch > 0 else None
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}"
-                + (f"; last finite loss {last:.6g}" if last is not None else "")
-                + "; reduce lr"
-            )
         losses[epoch] = epoch_loss
+        if not (np.isfinite(epoch_loss) and epoch_loss <= DIVERGENCE_FACTOR * losses[0]):
+            raise TrainingDiverged(
+                f"loss {epoch_loss:.6g} at epoch {epoch} (initial loss {losses[0]:.6g}): "
+                f"non-finite or above {DIVERGENCE_FACTOR:g} times the initial loss; reduce lr"
+            )
         model.trained_epochs += 1
     return TrainHistory(losses=losses)
 
@@ -399,9 +414,9 @@ def load_model(path) -> BFAEModel:
         b_shape = tuple(shp["biases"])
         w_size = int(np.prod(w_shape))
         b_size = int(np.prod(b_shape))
-        w = flat[offset : offset + w_size].reshape(w_shape).copy()
+        w = flat[offset : offset + w_size].reshape(w_shape)
         offset += w_size
-        bias = flat[offset : offset + b_size].reshape(b_shape).copy()
+        bias = flat[offset : offset + b_size].reshape(b_shape)
         offset += b_size
         layers.append(
             ContinuousLayer(

@@ -172,6 +172,12 @@ class TestTrainCommand:
         assert code == 0
         assert (out / "model.json").exists()
 
+    @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
+    def test_real_data_kind_without_dataset_is_an_error(self, kind, tmp_path):
+        out = tmp_path / "train"
+        with pytest.raises(ValueError, match=f"paths.dataset.*bfae realdata --kind {kind}"):
+            main(["train", "--kind", kind, "--out", str(out), "--set", "bfae.epochs=1"])
+        assert not out.exists()
 
     def test_model_grid_follows_the_dataset(self, tmp_path):
         grid = make_uniform_grid(0.0, 2.0, 6)

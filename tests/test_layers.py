@@ -245,6 +245,37 @@ class TestLayerBackward:
             layer_backward(layer, cache, np.zeros((2, 1, 5)))
 
 
+class TestParameterStorage:
+    def test_caller_arrays_untouched_by_updates(self):
+        g = make_uniform_grid(0, 1, 4)
+        w = np.ones((2, 3, 4, 4))
+        b = np.zeros((2, 4))
+        layer = ContinuousLayer(g, g, w, b, Activation("tanh"))
+        sgd_step(layer, (np.ones_like(w), np.ones_like(b)), lr=0.5)
+        assert layer.weights[0, 0, 0, 0] == 0.5 and layer.biases[0, 0] == -0.5
+        np.testing.assert_array_equal(w, 1.0)
+        np.testing.assert_array_equal(b, 0.0)
+
+    def test_weights_are_views_of_the_matrix(self):
+        layer = random_layer(2, 3, 5, 4, "tanh", seed=70)
+        # rows over (r, s), columns over (j, t)
+        assert layer.matrix.shape == (3 * 4, 2 * 5) and layer.matrix.flags.c_contiguous
+        assert layer.matrix[1 * 4 + 2, 1 * 5 + 3] == layer.weights[1, 1, 2, 3]
+        layer.weights[2, 0, 3, 1] = 7.0
+        layer.biases[1, 2] = -3.0
+        assert layer.matrix[2 * 4 + 3, 0 * 5 + 1] == 7.0
+        assert layer.bias[1 * 4 + 2] == -3.0
+
+    def test_unit_quadrature_weights_are_skipped(self):
+        from bfae.grids import Grid
+
+        unit = Grid(points=np.linspace(0.0, 3.0, 3), quad_weights=np.ones(3))
+        assert ContinuousLayer(unit, unit, np.ones((1, 2, 3, 3)), np.zeros((1, 3)),
+                               Activation("linear")).quad is None
+        layer = random_layer(2, 1, 5, 3, "linear", seed=71)
+        np.testing.assert_array_equal(layer.quad, np.tile(layer.in_grid.quad_weights, 2))
+
+
 class TestInitLayer:
     def test_deterministic(self):
         g = make_uniform_grid(0, 1, 8)
@@ -292,15 +323,22 @@ class TestSgdStep:
             activation=Activation("linear"),
         )
         grad_w = np.full((1, 1, 2, 2), 3.0)
-        sgd_step(layer, (grad_w, np.zeros((1, 2))), lr=0.1, batch_size=1)
+        sgd_step(layer, (grad_w, np.zeros((1, 2))), lr=0.1)
         np.testing.assert_allclose(layer.weights, 1.0 - 0.3)
 
-    def test_batch_size_scaling(self):
-        layer = random_layer(1, 1, 3, 3, "linear", seed=63)
-        w0 = layer.weights.copy()
-        grad = np.ones_like(layer.weights)
-        sgd_step(layer, (grad, np.zeros_like(layer.biases)), lr=0.4, batch_size=8)
-        np.testing.assert_allclose(layer.weights, w0 - 0.05)
+    def test_grads_left_unchanged(self):
+        # with momentum the grads are the velocity buffers, so they must survive
+        layer = random_layer(2, 3, 4, 5, "tanh", seed=65)
+        rng = np.random.default_rng(66)
+        grad_w, grad_b = rng.standard_normal((3, 2, 5, 4)), rng.standard_normal((3, 5))
+        kept = grad_w.copy(), grad_b.copy()
+        x = rng.standard_normal((2, 2, 4))
+        _, cache = layer_forward(layer, x)
+        layer_backward(layer, cache, rng.standard_normal((2, 3, 5)))
+        for work in (None, cache):
+            sgd_step(layer, (grad_w, grad_b), lr=0.7, cache=work)
+            np.testing.assert_array_equal(grad_w, kept[0])
+            np.testing.assert_array_equal(grad_b, kept[1])
 
     def test_shape_mismatch(self):
         layer = random_layer(1, 1, 3, 3, "linear", seed=64)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import finite_difference_gradient
@@ -224,6 +226,17 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(model, x)
 
+    def test_divergence_caught_early(self):
+        # sim1-shaped 1x10 model at lr 1e4: the loss grows by ~1e3x per epoch
+        from bfae.gp import SimConfig, sample_gp
+
+        grid = make_uniform_grid(0, 1, 50)
+        x = sample_gp(SimConfig(n_samples=80, n_features=1, grid=grid, seed=0)).values
+        model = build(bottleneck_config(1, 50, 1, 10, lr=1e4, epochs=100, seed=3))
+        with pytest.raises(TrainingDiverged, match=r"at epoch \d.*initial loss.*reduce lr"):
+            train(model, x)
+        assert model.trained_epochs <= 5
+
     def test_reconstruct_deterministic(self):
         cfg = bottleneck_config(1, 8, 1, 4, seed=17)
         model = build(cfg)
@@ -242,6 +255,16 @@ class TestSerialization:
         np.testing.assert_array_equal(model.reconstruct(x), loaded.reconstruct(x))
         assert loaded.trained_epochs == model.trained_epochs
         assert loaded.config == model.config
+
+    def test_version_1_file_round_trips_byte_for_byte(self, tmp_path):
+        # written by the 4-D parameter layout: 3 -> 2 -> 2 -> 3 features, 8 -> 4 -> 4 -> 8 points
+        golden = Path(__file__).parent / "data" / "model_v1_j3x8_j2x4.json"
+        model = load_model(golden)
+        assert [lay.weights.shape for lay in model.layers] == [
+            (2, 3, 4, 8), (2, 2, 4, 4), (3, 2, 8, 4),
+        ]
+        path = save_model(model, tmp_path / "again.json")
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_rejects_unknown_version(self, tmp_path):
         cfg = bottleneck_config(1, 5, 1, 2)
