@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid
+from .report import Report
 
 __all__ = [
     "FunctionalDataset",
@@ -145,10 +146,6 @@ def train_test_split(dataset: FunctionalDataset, spec: SplitSpec):
 # --- CSV + sidecar I/O -------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".grid.json")
 
@@ -156,19 +153,16 @@ def _sidecar_path(path: Path) -> Path:
 def save_csv(dataset: FunctionalDataset, path) -> Path:
     """Write ``<path>`` and its ``.grid.json`` sidecar; returns the CSV path."""
     path = Path(path)
-    m = dataset.n_points
-    header = "sample_id,feature,label," + ",".join(f"t_{j + 1}" for j in range(m))
-    lines = [header]
-    for i in range(dataset.n_samples):
-        if dataset.labels is None:
-            label = ""
-        else:
-            raw = dataset.labels[i]
-            label = _fmt(raw) if isinstance(raw, (float, np.floating)) else str(raw)
-        for r, name in enumerate(dataset.feature_names):
-            row = ",".join(_fmt(v) for v in dataset.values[i, r])
-            lines.append(f"{i},{name},{label},{row}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = ("sample_id", "feature", "label") + tuple(
+        f"t_{j + 1}" for j in range(dataset.n_points)
+    )
+    labels = [None] * dataset.n_samples if dataset.labels is None else dataset.labels
+    rows = [
+        (i, name, labels[i], *dataset.values[i, r])
+        for i in range(dataset.n_samples)
+        for r, name in enumerate(dataset.feature_names)
+    ]
+    Report(columns, rows).write_csv(path)
     sidecar = {
         "interval": [dataset.grid.a, dataset.grid.b],
         "points": [float(p) for p in dataset.grid.points],

@@ -18,7 +18,7 @@ from . import baselines
 from .data import FunctionalDataset, Standardizer
 from .grids import Grid
 from .layers import Activation, ContinuousLayer, _sigmoid, _surfaces, layer_forward
-from .model import BFAEConfig, bottleneck_config, build, train
+from .model import BFAEConfig, build, reconstruction_loss, train
 
 __all__ = [
     "functional_rmse",
@@ -42,18 +42,9 @@ RIDGE_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
 
 def functional_rmse(truth: np.ndarray, estimate: np.ndarray, grid: Grid) -> float:
-    """Root mean (over samples) of summed integrated squared feature errors."""
-    truth = np.asarray(truth, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if truth.shape != estimate.shape:
-        raise ValueError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
-    if truth.shape[-1] != len(grid):
-        raise ValueError("last axis must match grid length")
-    d = truth - estimate
-    per_sample = ((d * d) @ grid.quad_weights)
-    if per_sample.ndim > 1:
-        per_sample = per_sample.sum(axis=tuple(range(1, per_sample.ndim)))
-    return float(np.sqrt(per_sample.mean()))
+    """Root mean (over samples) of summed integrated squared feature errors
+    of ``(n, r, m)`` curves: the square root of :func:`reconstruction_loss`."""
+    return float(np.sqrt(reconstruction_loss(truth, estimate, grid)))
 
 
 # --- functional logistic classifier ----------------------------------------------
@@ -333,10 +324,28 @@ def evaluate_pipeline(reducer: str, task: str, data: PipelineData, config: Pipel
     reconstruction RMSE per split plus the task's train/test errors
     (classification error or regression RMSE), all on the original scale.
     """
-    if task not in ("classify", "regress"):
-        raise ValueError("task must be 'classify' or 'regress'")
     train_ds, test_ds = data.train_inputs, data.test_inputs
     grid = train_ds.grid
+    # heads are looked up when called, so wrappers set on this module see each fit
+    if task == "classify":
+        if train_ds.labels is None or test_ds.labels is None:
+            raise ValueError("classification task needs labeled datasets")
+        metric, (y_train, y_test), fit, error = (
+            "classification_error", (train_ds.labels, test_ds.labels),
+            lambda x, y, rg: flm_classify_fit(x, y, grid, ridge=rg),
+            classification_error,
+        )
+    elif task == "regress":
+        if data.train_outputs is None or data.test_outputs is None:
+            raise ValueError("regression task needs paired output datasets")
+        out_grid = data.train_outputs.grid
+        metric, (y_train, y_test), fit, error = (
+            "regression_rmse", (data.train_outputs.values, data.test_outputs.values),
+            lambda x, y, rg: fof_fit(x, y, grid, out_grid, ridge=rg),
+            lambda model, x, y: functional_rmse(y, fof_predict(model, x), out_grid),
+        )
+    else:
+        raise ValueError("task must be 'classify' or 'regress'")
 
     std = Standardizer().fit(train_ds) if config.standardize else None
     train_in = std.apply(train_ds).values if std else train_ds.values
@@ -354,44 +363,18 @@ def evaluate_pipeline(reducer: str, task: str, data: PipelineData, config: Pipel
         train_rec = std.invert_values(train_rec)
         test_rec = std.invert_values(test_rec)
 
-    rows = [
+    ridge = config.ridge
+    if ridge is None:
+        def score(tr_idx, va_idx, rg):
+            model = fit(train_rec[tr_idx], y_train[tr_idx], rg)
+            return error(model, train_rec[va_idx], y_train[va_idx])
+        ridge = select_ridge(score, train_rec.shape[0], seed=config.seed)
+    model = fit(train_rec, y_train, ridge)
+    return [
         {"split": "train", "metric": "reconstruction_rmse",
          "value": functional_rmse(train_ds.values, train_rec, grid)},
         {"split": "test", "metric": "reconstruction_rmse",
          "value": functional_rmse(test_ds.values, test_rec, grid)},
+        {"split": "train", "metric": metric, "value": error(model, train_rec, y_train)},
+        {"split": "test", "metric": metric, "value": error(model, test_rec, y_test)},
     ]
-
-    if task == "classify":
-        labels_train = train_ds.labels
-        labels_test = test_ds.labels
-        if labels_train is None or labels_test is None:
-            raise ValueError("classification task needs labeled datasets")
-        ridge = config.ridge
-        if ridge is None:
-            def score(tr_idx, va_idx, rg):
-                m = flm_classify_fit(train_rec[tr_idx], labels_train[tr_idx], grid, ridge=rg)
-                return classification_error(m, train_rec[va_idx], labels_train[va_idx])
-            ridge = select_ridge(score, train_rec.shape[0], seed=config.seed)
-        model = flm_classify_fit(train_rec, labels_train, grid, ridge=ridge)
-        rows.append({"split": "train", "metric": "classification_error",
-                     "value": classification_error(model, train_rec, labels_train)})
-        rows.append({"split": "test", "metric": "classification_error",
-                     "value": classification_error(model, test_rec, labels_test)})
-    else:
-        if data.train_outputs is None or data.test_outputs is None:
-            raise ValueError("regression task needs paired output datasets")
-        y_train = data.train_outputs.values
-        y_test = data.test_outputs.values
-        out_grid = data.train_outputs.grid
-        ridge = config.ridge
-        if ridge is None:
-            def score(tr_idx, va_idx, rg):
-                m = fof_fit(train_rec[tr_idx], y_train[tr_idx], grid, out_grid, ridge=rg)
-                return functional_rmse(y_train[va_idx], fof_predict(m, train_rec[va_idx]), out_grid)
-            ridge = select_ridge(score, train_rec.shape[0], seed=config.seed)
-        model = fof_fit(train_rec, y_train, grid, out_grid, ridge=ridge)
-        rows.append({"split": "train", "metric": "regression_rmse",
-                     "value": functional_rmse(y_train, fof_predict(model, train_rec), out_grid)})
-        rows.append({"split": "test", "metric": "regression_rmse",
-                     "value": functional_rmse(y_test, fof_predict(model, test_rec), out_grid)})
-    return rows

@@ -244,6 +244,22 @@ def _split(cfg: dict, seed: int) -> SplitSpec:
     return SplitSpec(seed=seed, **cfg["split"])
 
 
+def _write_report(report: Report, out_dir: Path) -> list:
+    return [report.write_csv(out_dir / "report.csv"), report.write_json(out_dir / "report.json")]
+
+
+def _standin(cfg: dict):
+    """The kind's stand-in from the first replication's data seed: a labeled
+    phoneme dataset, or Adelaide's ``(temperature, demand)`` pair."""
+    sim, seed = cfg["sim"], _derived_seeds(cfg["master_seed"], 0)[0]
+    if cfg["kind"] == "phoneme":
+        return make_phoneme_standin(
+            n_samples=sim["n_samples"], m_points=sim["m_points"],
+            class_sep=cfg["standin_class_sep"], seed=seed,
+        )
+    return make_adelaide_standin(n_weeks=sim["n_samples"], m_points=sim["m_points"], seed=seed)
+
+
 # --- simulate ---------------------------------------------------------------------
 
 
@@ -251,27 +267,16 @@ def run_simulate(cfg: dict, out_dir) -> list:
     """Write the configured synthetic dataset; returns the written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim_seed = _derived_seeds(cfg["master_seed"], 0)[0]
     written = []
     kind = cfg["kind"]
     if kind == "phoneme":
-        ds = make_phoneme_standin(
-            n_samples=cfg["sim"]["n_samples"],
-            m_points=cfg["sim"]["m_points"],
-            class_sep=cfg["standin_class_sep"],
-            seed=sim_seed,
-        )
-        written.append(save_csv(ds, out_dir / "phoneme_standin.csv"))
+        written.append(save_csv(_standin(cfg), out_dir / "phoneme_standin.csv"))
     elif kind == "adelaide":
-        temp, demand = make_adelaide_standin(
-            n_weeks=cfg["sim"]["n_samples"],
-            m_points=cfg["sim"]["m_points"],
-            seed=sim_seed,
-        )
+        temp, demand = _standin(cfg)
         written.append(save_csv(temp, out_dir / "adelaide_temperature_standin.csv"))
         written.append(save_csv(demand, out_dir / "adelaide_demand_standin.csv"))
     else:
-        sim_cfg = _sim_config(cfg, sim_seed)
+        sim_cfg = _sim_config(cfg, _derived_seeds(cfg["master_seed"], 0)[0])
         ds = sample_gp(sim_cfg)
         written.append(save_csv(ds, out_dir / f"{kind}_dataset.csv"))
         print(
@@ -301,10 +306,8 @@ def run_train(cfg: dict, out_dir) -> list:
     model = build(model_cfg)
     history = train(model, ds.values)
     model_path = save_model(model, out_dir / "model.json")
-    lines = ["epoch,loss"]
-    lines.extend(f"{e},{format(v, '.17g')}" for e, v in enumerate(history.losses))
     history_path = out_dir / "history.csv"
-    history_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Report(("epoch", "loss"), list(enumerate(history.losses))).write_csv(history_path)
     print(f"final loss {history.losses[-1]:.6g} (initial {history.losses[0]:.6g})")
     return [model_path, history_path]
 
@@ -358,11 +361,16 @@ def _benchmark_replication(args):
 
 def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
     """Replicated simulation benchmark; returns ``(paths, all_cells_ok)``."""
+    kind, reps = cfg["kind"], int(cfg["replications"])
+    if kind in ("phoneme", "adelaide"):
+        raise ValueError(f"benchmark fits simulated curves only; to fit the {kind} "
+                         f"data or stand-in, run bfae realdata --kind {kind}")
+    if cfg["standardize"]:
+        raise ValueError("benchmark fits raw simulated curves; set standardize=false")
+    if reps < 1 or jobs < 1:
+        raise ValueError(f"replications and jobs must be >= 1, got {reps} and {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reps = int(cfg["replications"])
-    if reps < 1:
-        raise ValueError("replications must be >= 1")
     tasks = [(cfg, rep) for rep in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -381,18 +389,11 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
             figure = fig
     summarize_benchmark(report)
 
-    paths = [
-        report.write_csv(out_dir / "report.csv"),
-        report.write_json(out_dir / "report.json"),
-    ]
+    paths = _write_report(report, out_dir)
     if figure is not None:
-        columns = list(figure)  # t, truth, then each method that reconstructed
-        lines = [",".join(columns)]
-        for i in range(len(figure["t"])):
-            lines.append(",".join(format(float(figure[c][i]), ".17g") for c in columns))
-        fig_path = out_dir / "figure_reconstruction.csv"
-        fig_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        paths.append(fig_path)
+        # columns: t, truth, then each method that reconstructed
+        fig = Report(tuple(figure), list(zip(*figure.values())))
+        paths.append(fig.write_csv(out_dir / "figure_reconstruction.csv"))
     return paths, ok
 
 
@@ -409,13 +410,7 @@ def _phoneme_data(cfg: dict):
             "source data to the documented CSV schema and set paths.phoneme, "
             "or set standin=true"
         )
-    seed = _derived_seeds(cfg["master_seed"], 0)[0]
-    return make_phoneme_standin(
-        n_samples=cfg["sim"]["n_samples"],
-        m_points=cfg["sim"]["m_points"],
-        class_sep=cfg["standin_class_sep"],
-        seed=seed,
-    )
+    return _standin(cfg)
 
 
 def _adelaide_data(cfg: dict):
@@ -432,10 +427,7 @@ def _adelaide_data(cfg: dict):
             "source data to the documented CSV schema and set "
             "paths.adelaide_temperature / paths.adelaide_demand, or set standin=true"
         )
-    seed = _derived_seeds(cfg["master_seed"], 0)[0]
-    return make_adelaide_standin(
-        n_weeks=cfg["sim"]["n_samples"], m_points=cfg["sim"]["m_points"], seed=seed
-    )
+    return _standin(cfg)
 
 
 def run_realdata(cfg: dict, out_dir):
@@ -443,6 +435,8 @@ def run_realdata(cfg: dict, out_dir):
     kind = cfg["kind"]
     if kind not in ("phoneme", "adelaide"):
         raise ValueError("realdata runs need kind 'phoneme' or 'adelaide'")
+    if cfg["replications"] != 1:
+        raise ValueError(f"realdata runs one split; set replications=1, not {cfg['replications']}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split_seed, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
@@ -490,34 +484,22 @@ def run_realdata(cfg: dict, out_dir):
                        value=float("nan"), seed=cfg["master_seed"], config_hash=chash)
             print(f"method {method} failed: {exc}")
 
-    paths = [
-        report.write_csv(out_dir / "report.csv"),
-        report.write_json(out_dir / "report.json"),
-    ]
+    paths = _write_report(report, out_dir)
     paths.append(_write_curves_csv(out_dir / "sample_curves.csv", data))
     return paths, ok
 
 
 def _write_curves_csv(path: Path, data: PipelineData) -> Path:
     """Plot-ready curves for a handful of test samples (figure data)."""
-    ds = data.test_inputs
+    ds, outputs = data.test_inputs, data.test_outputs
     k = min(3, ds.n_samples)
-    columns = ["t"]
-    series = [ds.grid.points]
+    curves = [("t", ds.grid.points)]  # (column, values) pairs
     for i in range(k):
-        tag = f"sample{i}"
-        if ds.labels is not None:
-            tag += f"_{ds.labels[i]}"
-        for r, name in enumerate(ds.feature_names):
-            columns.append(f"{tag}_{name}")
-            series.append(ds.values[i, r])
-    if data.test_outputs is not None:
+        tag = f"sample{i}" if ds.labels is None else f"sample{i}_{ds.labels[i]}"
+        curves += [(f"{tag}_{name}", ds.values[i, r]) for r, name in enumerate(ds.feature_names)]
+    if outputs is not None:
         for i in range(k):
-            for r, name in enumerate(data.test_outputs.feature_names):
-                columns.append(f"sample{i}_{name}_output")
-                series.append(data.test_outputs.values[i, r])
-    lines = [",".join(columns)]
-    for j in range(len(ds.grid.points)):
-        lines.append(",".join(format(float(s[j]), ".17g") for s in series))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+            curves += [(f"sample{i}_{name}_output", outputs.values[i, r])
+                       for r, name in enumerate(outputs.feature_names)]
+    columns, series = zip(*curves)
+    return Report(columns, list(zip(*series))).write_csv(path)

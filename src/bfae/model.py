@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -223,30 +223,32 @@ class BFAEModel:
         return x
 
 
-def _layer_grid(a: float, b: float, m: int) -> Grid:
-    if m == 1:
-        # scalar latent: one midpoint sample, weight = interval length
-        return Grid(points=np.array([(a + b) / 2.0]), quad_weights=np.array([b - a]))
-    return make_uniform_grid(a, b, m)
+def _layer_frames(config: BFAEConfig):
+    """``(in_grid, out_grid, activation)`` of each layer; a scalar latent (M=1)
+    is one midpoint sample weighted by the interval length."""
+    a, b = config.interval
+    grids = [
+        Grid(points=np.array([(a + b) / 2.0]), quad_weights=np.array([b - a]))
+        if m == 1 else make_uniform_grid(a, b, m)
+        for m in config.grid_sizes
+    ]
+    return zip(grids, grids[1:], map(Activation, config.activations))
 
 
 def build(config: BFAEConfig) -> BFAEModel:
     """Initialize all layers of the architecture described by ``config``."""
-    a, b = config.interval
-    grids = [_layer_grid(a, b, m) for m in config.grid_sizes]
-    layers = []
-    for ell in range(config.n_layers):
-        layers.append(
-            init_layer(
-                in_grid=grids[ell],
-                out_grid=grids[ell + 1],
-                j_in=config.feature_counts[ell],
-                j_out=config.feature_counts[ell + 1],
-                activation=Activation(config.activations[ell]),
-                scheme=config.init_scheme,
-                seed=config.seed + ell,
-            )
+    layers = [
+        init_layer(
+            in_grid=in_grid,
+            out_grid=out_grid,
+            j_in=config.feature_counts[ell],
+            j_out=config.feature_counts[ell + 1],
+            activation=activation,
+            scheme=config.init_scheme,
+            seed=config.seed + ell,
         )
+        for ell, (in_grid, out_grid, activation) in enumerate(_layer_frames(config))
+    ]
     return BFAEModel(layers=layers, latent_index=config.latent_index, config=config)
 
 
@@ -349,7 +351,10 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 
 
 def save_model(model: BFAEModel, path) -> Path:
-    """Write a model as JSON: config + shapes header + base64 row-major payload."""
+    """Write a model as JSON: config + shapes header + base64 row-major payload.
+
+    The config block is ``BFAEConfig``'s fields in declaration order.
+    """
     path = Path(path)
     chunks = []
     shapes = []
@@ -358,22 +363,9 @@ def save_model(model: BFAEModel, path) -> Path:
         chunks.append(lay.weights.ravel())
         chunks.append(lay.biases.ravel())
     payload = np.concatenate(chunks).astype("<f8").tobytes()
-    cfg = model.config
     doc = {
         "format_version": 1,
-        "config": {
-            "feature_counts": list(cfg.feature_counts),
-            "grid_sizes": list(cfg.grid_sizes),
-            "latent_index": cfg.latent_index,
-            "activations": list(cfg.activations),
-            "interval": list(cfg.interval),
-            "lr": cfg.lr,
-            "epochs": cfg.epochs,
-            "init_scheme": cfg.init_scheme,
-            "seed": cfg.seed,
-            "momentum": cfg.momentum,
-            "batch_size": cfg.batch_size,
-        },
+        "config": asdict(model.config),
         "trained_epochs": model.trained_epochs,
         "layer_shapes": shapes,
         "dtype": "float64",
@@ -388,45 +380,25 @@ def load_model(path) -> BFAEModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model file version: {doc.get('format_version')}")
-    c = doc["config"]
-    config = BFAEConfig(
-        feature_counts=tuple(c["feature_counts"]),
-        grid_sizes=tuple(c["grid_sizes"]),
-        latent_index=c["latent_index"],
-        activations=tuple(c["activations"]),
-        interval=tuple(c["interval"]),
-        lr=c["lr"],
-        epochs=c["epochs"],
-        init_scheme=c["init_scheme"],
-        seed=c["seed"],
-        momentum=c["momentum"],
-        batch_size=c["batch_size"],
-    )
+    names = [f.name for f in fields(BFAEConfig)]
+    if set(doc["config"]) != set(names):
+        raise ValueError(f"model file config keys {sorted(doc['config'])} differ from {names}")
+    config = BFAEConfig(**doc["config"])
+    shapes = doc["layer_shapes"]
+    if len(shapes) != config.n_layers:
+        raise ValueError(f"model file has {len(shapes)} layer shapes for {config.n_layers} layers")
     flat = np.frombuffer(
         base64.b64decode(doc["payload_b64"]), dtype="<f8"
     ).astype(np.float64)
-    a, b = config.interval
-    grids = [_layer_grid(a, b, m) for m in config.grid_sizes]
     layers = []
     offset = 0
-    for ell, shp in enumerate(doc["layer_shapes"]):
-        w_shape = tuple(shp["weights"])
-        b_shape = tuple(shp["biases"])
-        w_size = int(np.prod(w_shape))
-        b_size = int(np.prod(b_shape))
-        w = flat[offset : offset + w_size].reshape(w_shape)
-        offset += w_size
-        bias = flat[offset : offset + b_size].reshape(b_shape)
-        offset += b_size
-        layers.append(
-            ContinuousLayer(
-                in_grid=grids[ell],
-                out_grid=grids[ell + 1],
-                weights=w,
-                biases=bias,
-                activation=Activation(config.activations[ell]),
-            )
-        )
+    for shp, (in_grid, out_grid, activation) in zip(shapes, _layer_frames(config)):
+        params = []
+        for shape in (shp["weights"], shp["biases"]):
+            size = int(np.prod(shape))
+            params.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
     if offset != flat.size:
         raise ValueError("payload size does not match shapes header")
     return BFAEModel(

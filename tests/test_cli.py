@@ -248,6 +248,23 @@ class TestBenchmarkCommand:
         # untouched methods still report normally
         assert any(r["method"] == "fpca" and r["metric"] == "functional_rmse" for r in rows)
 
+    @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
+    def test_real_data_kind_is_an_error(self, kind, tmp_path):
+        out = tmp_path / "bench"
+        with pytest.raises(ValueError, match=f"bfae realdata --kind {kind}"):
+            main(["benchmark", "--kind", kind, "--out", str(out)] + FAST_BENCH)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--set", "standardize=true"], "standardize=false"),
+        (["--jobs", "-3"], "jobs must be >= 1"),
+    ])
+    def test_unsupported_settings_are_errors(self, extra, message, tmp_path):
+        out = tmp_path / "bench"
+        with pytest.raises(ValueError, match=message):
+            main(["benchmark", "--kind", "sim1", "--out", str(out)] + FAST_BENCH + extra)
+        assert not out.exists()
+
 
 class TestRealdataCommand:
     def test_phoneme_standin_end_to_end(self, tmp_path):
@@ -299,6 +316,13 @@ class TestRealdataCommand:
                 np.testing.assert_array_equal(got, temp.values[week, r])
                 got = [float(row[f"sample{i}_{demand.feature_names[r]}_output"]) for row in curves]
                 np.testing.assert_array_equal(got, demand.values[week, r])
+
+    @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
+    def test_replications_other_than_one_are_an_error(self, kind, tmp_path):
+        out = tmp_path / "real"
+        with pytest.raises(ValueError, match="realdata runs one split"):
+            main(["realdata", "--kind", kind, "--out", str(out), "--paper-scale"] + FAST_REALDATA)
+        assert not out.exists()
 
     def test_missing_files_error_mentions_converter(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="CSV schema"):

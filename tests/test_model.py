@@ -1,3 +1,5 @@
+import base64
+import json
 from pathlib import Path
 
 import numpy as np
@@ -266,11 +268,34 @@ class TestSerialization:
         path = save_model(model, tmp_path / "again.json")
         assert path.read_bytes() == golden.read_bytes()
 
+    def test_rejects_a_file_with_missing_layers(self, tmp_path):
+        # the 2-layer model's first layer alone: shapes and payload agree
+        model = build(bottleneck_config(1, 8, 1, 4, seed=3))
+        path = save_model(model, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        first = model.layers[0]
+        payload = np.concatenate([first.weights.ravel(), first.biases.ravel()])
+        doc["layer_shapes"] = doc["layer_shapes"][:1]
+        doc["payload_b64"] = base64.b64encode(payload.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="1 layer shapes for 2 layers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda config: config.pop("lr"),
+        lambda config: config.update(dropout=0.5),
+    ], ids=["missing-lr", "unknown-key"])
+    def test_rejects_config_keys_that_differ_from_the_fields(self, edit, tmp_path):
+        path = save_model(build(bottleneck_config(1, 5, 1, 2, lr=0.5)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        edit(doc["config"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="config keys"):
+            load_model(path)
+
     def test_rejects_unknown_version(self, tmp_path):
         cfg = bottleneck_config(1, 5, 1, 2)
         path = save_model(build(cfg), tmp_path / "m.json")
-        import json
-
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
