@@ -16,7 +16,9 @@ def _add_common(parser: argparse.ArgumentParser, default_kind: str):
     )
     parser.add_argument("--seed", type=int, help="override master_seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel replications")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel replications (benchmark only)",
+    )
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY.PATH=VALUE",
         help="override any config field, e.g. --set bfae.lr=0.01",
@@ -52,6 +54,9 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("benchmark", help="replicated method comparison"), "sim1")
     _add_common(sub.add_parser("realdata", help="real-data (or stand-in) protocol"), "phoneme")
     args = parser.parse_args(argv)
+    if args.command != "benchmark" and args.jobs != 1:
+        raise ValueError(f"--jobs applies to bfae benchmark only; {args.command} runs in one "
+                         f"process, so leave --jobs at 1, not {args.jobs}")
     cfg = _resolve_config(args)
 
     ok = True

@@ -295,6 +295,9 @@ def run_train(cfg: dict, out_dir) -> list:
     if not dataset_path and cfg["kind"] in ("phoneme", "adelaide"):
         raise ValueError(f"train --kind {cfg['kind']} needs paths.dataset; to fit the "
                          f"{cfg['kind']} data or stand-in, run bfae realdata --kind {cfg['kind']}")
+    if cfg["standardize"]:
+        raise ValueError("train fits raw curves; set standardize=false (--set standardize=false), "
+                         "or run bfae realdata to fit standardized curves")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim_seed, _, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)

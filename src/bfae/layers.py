@@ -137,10 +137,12 @@ class LayerCache:
     """Workspace of one layer for one batch size: ``input`` (the raw input)
     plus buffers that :func:`layer_forward` (weighted input, pre-activation,
     activation) and, once made by the first backward pass,
-    :func:`layer_backward` (delta, gradients) and :func:`sgd_step` write."""
+    :func:`layer_backward` (delta, gradients) and :func:`sgd_step` write.
+    ``grad_input`` is made only by a backward pass that computes it."""
 
     def __init__(self, layer: ContinuousLayer, batch: int):
-        self.input = self.grad_input = self.step_weights = self.step_biases = None
+        self.input = self.grad_matrix = self.grad_input = None
+        self.step_weights = self.step_biases = None
         self.weighted = None if layer.quad is None else np.empty((batch, layer.matrix.shape[1]))
         self.pre_activation = np.empty((batch, layer.j_out, len(layer.out_grid)))
         linear = layer.activation.kind == "linear"
@@ -152,7 +154,6 @@ class LayerCache:
         self.grad_weights = _surfaces(self.grad_matrix, layer.j_out, layer.j_in)
         self.grad_biases, self.step_biases = np.empty_like(layer.biases), np.empty_like(layer.biases)
         self.step_weights = np.empty_like(layer.weights)  # same memory order as the weights
-        self.grad_input = np.empty(self.input.shape)
 
 
 def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = None):
@@ -185,13 +186,17 @@ def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = Non
     return layer.activation.apply(cache.pre_activation, out=cache.output), cache
 
 
-def layer_backward(layer: ContinuousLayer, cache: LayerCache, upstream: np.ndarray):
+def layer_backward(
+    layer: ContinuousLayer, cache: LayerCache, upstream: np.ndarray, input_grad: bool = True,
+):
     """Exact gradients of the discretized forward map.
 
     ``upstream`` is the loss gradient w.r.t. the layer output.  Returns
     ``(grad_weights, grad_biases, grad_input)`` where the parameter gradients
     are summed over the batch and ``grad_input`` is the adjoint-propagated
     per-sample gradient w.r.t. the layer input, all in the cache's buffers.
+    With ``input_grad=False`` (a layer whose input is the data) the input
+    gradient is not computed and ``grad_input`` is ``None``.
     """
     n = cache.input.shape[0]
     if cache.input.shape != (n, layer.j_in, len(layer.in_grid)) or cache.pre_activation.shape != (
@@ -203,12 +208,16 @@ def layer_backward(layer: ContinuousLayer, cache: LayerCache, upstream: np.ndarr
         raise ValueError(
             f"upstream shape {upstream.shape} does not match (batch, j_out, m_out)"
         )
-    if cache.grad_input is None:
+    if cache.grad_matrix is None:
         cache._backward_buffers(layer)
     delta = layer.activation.backward(upstream, cache.pre_activation, cache.output, cache.delta)
     delta = delta.reshape(n, -1)
     np.add.reduce(delta, axis=0, out=cache.grad_biases.reshape(-1))
     np.matmul(delta.T, cache.weighted, out=cache.grad_matrix)
+    if not input_grad:
+        return cache.grad_weights, cache.grad_biases, None
+    if cache.grad_input is None:
+        cache.grad_input = np.empty(cache.input.shape)
     grad_input = cache.grad_input.reshape(n, -1)
     np.matmul(delta, layer.matrix, out=grad_input)
     if layer.quad is not None:

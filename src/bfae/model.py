@@ -281,8 +281,9 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, workspaces: dict):
     loss = float((squares @ qw).sum(axis=1).mean())
     residual *= (2.0 / len(x)) * qw
     upstream = residual
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        upstream = layer_backward(layer, cache, upstream)[2]
+    for ell in reversed(range(len(caches))):
+        # the first layer's input is the data: its gradient would go unused
+        upstream = layer_backward(model.layers[ell], caches[ell], upstream, input_grad=ell > 0)[2]
     return loss, caches
 
 

@@ -179,6 +179,23 @@ class TestTrainCommand:
             main(["train", "--kind", kind, "--out", str(out), "--set", "bfae.epochs=1"])
         assert not out.exists()
 
+    def test_standardize_is_an_error(self, tmp_path):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--kind", "phoneme", "--out", str(data_dir),
+              "--set", "sim.n_samples=10", "--set", "sim.m_points=8"])
+        args = ["train", "--kind", "phoneme",
+                "--set", f"paths.dataset={json.dumps(str(data_dir / 'phoneme_standin.csv'))}",
+                "--set", "sim.m_points=8", "--set", "bfae.latent_points=8",
+                "--set", "bfae.epochs=2", "--set", "bfae.lr=1.0"]
+        # phoneme's default standardizes, which train cannot do
+        with pytest.raises(ValueError, match="standardize=false.*bfae realdata"):
+            main(args + ["--out", str(tmp_path / "a")])
+        assert not (tmp_path / "a").exists()
+        assert main(args + ["--out", str(tmp_path / "b"), "--set", "standardize=false"]) == 0
+        with pytest.raises(ValueError, match="standardize=false"):
+            main(["train", "--kind", "sim1", "--out", str(tmp_path / "c"),
+                  "--set", "standardize=true"])
+
     def test_model_grid_follows_the_dataset(self, tmp_path):
         grid = make_uniform_grid(0.0, 2.0, 6)
         ds = sample_gp(SimConfig(n_samples=8, n_features=1, grid=grid, seed=1))
@@ -191,6 +208,25 @@ class TestTrainCommand:
         model = load_model(model_path)
         assert model.config.interval == (0.0, 2.0)
         assert model.data_grid == load_csv(data_path).grid
+
+
+@pytest.mark.parametrize("command, kind, fast", [
+    ("simulate", "sim1", FAST_BENCH), ("train", "sim1", FAST_BENCH),
+    ("realdata", "phoneme", FAST_REALDATA),
+], ids=["simulate", "train", "realdata"])
+@pytest.mark.parametrize("jobs", ["-5", "0", "2"])
+def test_jobs_outside_benchmark_is_an_error(command, kind, fast, jobs, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"--jobs applies to bfae benchmark only.*not {jobs}"):
+        main([command, "--kind", kind, "--out", str(out), "--jobs", jobs] + fast)
+    assert not out.exists()
+
+
+def test_jobs_one_is_accepted_outside_benchmark(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--kind", "sim1", "--out", str(out), "--jobs", "1",
+                 "--set", "sim.n_samples=4", "--set", "sim.m_points=5"]) == 0
+    assert (out / "sim1_dataset.csv").exists()
 
 
 class TestBenchmarkCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,57 @@ def separable_curves(n, m, seed, scale=4.0):
     return curves[:, None, :], labels, g
 
 
+def penalized_gradient(model, curves, labels, grid):
+    """Gradient of the ridge-penalized mean log-likelihood at the fitted
+    ``(alpha, beta)``, recomputed one sample at a time."""
+    qw = grid.quad_weights
+    g_alpha, g_beta = 0.0, np.zeros(len(grid))
+    for curve, label in zip(curves[:, 0, :], labels):
+        z = model.alpha + float(np.sum(qw * curve * model.beta))
+        resid = float(label == model.classes[1]) - 1.0 / (1.0 + math.exp(-z))
+        g_alpha += resid
+        g_beta += resid * qw * curve
+    n = len(labels)
+    return np.concatenate(([g_alpha / n], g_beta / n - model.ridge * qw * model.beta))
+
+
+def gradient_ascent_reference(curves, labels, grid, ridge, tol=1e-12, max_iter=200_000):
+    """Plain gradient ascent with the fixed step 1 / L (L bounds the Hessian),
+    run until the gradient vanishes; returns ``(alpha, beta)`` as one vector."""
+    design = np.hstack([np.ones((len(curves), 1)), curves[:, 0, :] * grid.quad_weights])
+    y = (np.asarray(labels) == sorted(set(labels))[1]).astype(np.float64)
+    penalty = np.concatenate(([0.0], ridge * grid.quad_weights))
+    lipschitz = 0.25 * np.linalg.norm(design, 2) ** 2 / len(y) + penalty.max()
+    theta = np.zeros(design.shape[1])
+    for _ in range(max_iter):
+        gradient = design.T @ (y - 1.0 / (1.0 + np.exp(-design @ theta))) / len(y) - penalty * theta
+        if np.max(np.abs(gradient)) <= tol:
+            return theta
+        theta += gradient / lipschitz
+    raise AssertionError("reference gradient ascent did not converge")
+
+
 class TestFlmClassifier:
+    @pytest.mark.parametrize("ridge", [1e-5, 1e-3, 1e-1])
+    def test_gradient_vanishes_at_the_returned_optimum(self, ridge):
+        curves, labels, g = separable_curves(80, 15, seed=14, scale=0.3)
+        model = flm_classify_fit(curves, labels, g, ridge=ridge)
+        assert np.max(np.abs(penalized_gradient(model, curves, labels, g))) <= 1e-10
+
+    def test_matches_gradient_ascent_run_to_convergence(self):
+        curves, labels, g = separable_curves(40, 6, seed=15, scale=0.5)
+        model = flm_classify_fit(curves, labels, g, ridge=1e-2)
+        reference = gradient_ascent_reference(curves, labels, g, ridge=1e-2)
+        np.testing.assert_allclose(model.alpha, reference[0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.beta, reference[1:], rtol=0, atol=1e-9)
+
+    def test_separable_data_at_small_ridge_takes_few_monotone_steps(self):
+        curves, labels, g = separable_curves(60, 20, seed=4)
+        model = flm_classify_fit(curves, labels, g, ridge=1e-5)
+        assert np.all(np.diff(model.objective_path) >= 0.0)
+        assert model.objective_path.size - 1 <= 25
+        assert classification_error(model, curves, labels) == 0.0
+
     def test_separable_training_error_zero(self):
         curves, labels, g = separable_curves(60, 20, seed=4)
         model = flm_classify_fit(curves, labels, g, ridge=1e-4)
@@ -91,6 +143,8 @@ class TestFlmClassifier:
     def test_zero_model_predicts_half(self):
         curves, labels, g = separable_curves(10, 8, seed=7)
         model = flm_classify_fit(curves, labels, g, ridge=1e-3, max_iter=0)
+        assert model.alpha == 0.0 and not model.beta.any()
+        assert model.objective_path.size == 1
         _, p = flm_classify_predict(model, curves)
         np.testing.assert_array_equal(p, 0.5)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfae.grids import inner_product, make_uniform_grid
+from bfae.grids import Grid, inner_product, make_uniform_grid
 from bfae.layers import (
     Activation,
     ContinuousLayer,
@@ -150,6 +150,26 @@ class TestLayerBackward:
         _, cache = layer_forward(layer, x)
         gw, gb, gx = layer_backward(layer, cache, np.zeros((3, 2, 5)))
         assert not gw.any() and not gb.any() and not gx.any()
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("unit_weights", [False, True])  # True: a dense AE layer
+    def test_without_input_gradient_parameter_gradients_are_identical(self, kind, unit_weights):
+        layer = random_layer(3, 2, 6, 5, kind, seed=23)
+        if unit_weights:
+            unit = Grid(points=np.linspace(0.0, 6.0, 6), quad_weights=np.ones(6))
+            layer = ContinuousLayer(unit, layer.out_grid, layer.weights, layer.biases,
+                                    layer.activation)
+            assert layer.quad is None
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 3, 6))
+        upstream = rng.standard_normal((4, 2, 5))
+        gw, gb, gx = (g.copy() for g in layer_backward(layer, layer_forward(layer, x)[1], upstream))
+        cache = layer_forward(layer, x)[1]
+        gw_only, gb_only, gx_only = layer_backward(layer, cache, upstream, input_grad=False)
+        assert gx_only is None and cache.grad_input is None
+        assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+        # the same cache can still give the input gradient later
+        np.testing.assert_array_equal(layer_backward(layer, cache, upstream)[2], gx)
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "sigmoid"])
     def test_gradients_match_finite_differences(self, kind):

@@ -178,6 +178,34 @@ class TestGradients:
             fd_b = finite_difference_gradient(loss_fn, layer.biases, [b_idx])[b_idx]
             assert abs(gb[b_idx] - fd_b) / max(abs(fd_b), 1e-8) < 1e-4
 
+    @pytest.mark.parametrize("feature_counts, grid_sizes, activations, seed", [
+        ((3, 2, 3), (6, 1, 6), ("sigmoid", "linear"), 31),
+        ((2, 3, 2), (5, 1, 5), ("relu", "linear"), 32),
+        ((2, 1, 3, 2), (7, 1, 4, 7), ("relu", "sigmoid", "linear"), 33),
+        ((1, 2, 1), (8, 3, 8), ("tanh", "linear"), 34),
+    ])
+    def test_every_gradient_entry_matches_finite_differences(
+        self, feature_counts, grid_sizes, activations, seed,
+    ):
+        cfg = BFAEConfig(feature_counts=feature_counts, grid_sizes=grid_sizes,
+                         activations=activations, seed=seed)
+        model = build(cfg)
+        rng = np.random.default_rng(seed)
+        for layer in model.layers:  # nonzero biases move relu units off their kink
+            layer.biases[...] = rng.standard_normal(layer.biases.shape)
+        x = rng.standard_normal((5, feature_counts[0], grid_sizes[0]))
+        _, grads = model_gradients(model, x)
+
+        def loss_fn():
+            return reconstruction_loss(x, model.reconstruct(x), model.data_grid)
+
+        for layer, (gw, gb) in zip(model.layers, grads):
+            for param, grad in ((layer.weights, gw), (layer.biases, gb)):
+                indices = list(np.ndindex(param.shape))
+                fd = finite_difference_gradient(loss_fn, param, indices)
+                expected = np.array([fd[idx] for idx in indices]).reshape(param.shape)
+                np.testing.assert_allclose(grad, expected, rtol=1e-5, atol=1e-8)
+
 
 class TestTrain:
     def test_zero_lr_keeps_model_and_history_constant(self):
