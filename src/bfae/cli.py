@@ -25,7 +25,7 @@ def _add_common(parser: argparse.ArgumentParser, default_kind: str):
     )
     parser.add_argument(
         "--paper-scale", action="store_true",
-        help="run the full 100-replication protocol instead of desk-scale defaults",
+        help="run the full 100-replication protocol (benchmark only)",
     )
 
 
@@ -54,9 +54,10 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("benchmark", help="replicated method comparison"), "sim1")
     _add_common(sub.add_parser("realdata", help="real-data (or stand-in) protocol"), "phoneme")
     args = parser.parse_args(argv)
-    if args.command != "benchmark" and args.jobs != 1:
-        raise ValueError(f"--jobs applies to bfae benchmark only; {args.command} runs in one "
-                         f"process, so leave --jobs at 1, not {args.jobs}")
+    if args.command != "benchmark" and (args.jobs != 1 or args.paper_scale):
+        given = f"--jobs {args.jobs}" if args.jobs != 1 else "--paper-scale"
+        raise ValueError(f"--jobs and --paper-scale apply to bfae benchmark only; {args.command} "
+                         f"runs once in one process, so leave them out (got {given})")
     cfg = _resolve_config(args)
 
     ok = True

@@ -6,9 +6,10 @@ A dataset is a CSV file plus a grid sidecar:
 
 * ``<name>.csv``: header ``sample_id,feature,label,t_1,...,t_M``, one row
   per ``(sample, feature)``.  Values are decimal with 17 significant digits
-  so a save/load round trip is bit exact.  The ``label`` column is empty for
-  unlabeled data and must agree across the rows of one sample.
-* ``<name>.grid.json``: ``{"interval": [a, b], "points": [...]}``.
+  so a save/load round trip is bit exact.  The ``label`` column is set for
+  every sample or for none, and agrees across the rows of one sample.
+* ``<name>.grid.json``: ``{"interval": [a, b], "points": [...]}``, where
+  ``a`` and ``b`` are the first and last point.
 
 Files are UTF-8 with LF line endings, decimal point, no thousands
 separators.  Missing or non-numeric cells are hard errors with the row and
@@ -150,26 +151,22 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".grid.json")
 
 
+def _columns(m: int) -> tuple:
+    return ("sample_id", "feature", "label") + tuple(f"t_{j + 1}" for j in range(m))
+
+
 def save_csv(dataset: FunctionalDataset, path) -> Path:
     """Write ``<path>`` and its ``.grid.json`` sidecar; returns the CSV path."""
     path = Path(path)
-    columns = ("sample_id", "feature", "label") + tuple(
-        f"t_{j + 1}" for j in range(dataset.n_points)
-    )
     labels = [None] * dataset.n_samples if dataset.labels is None else dataset.labels
     rows = [
         (i, name, labels[i], *dataset.values[i, r])
         for i in range(dataset.n_samples)
         for r, name in enumerate(dataset.feature_names)
     ]
-    Report(columns, rows).write_csv(path)
-    sidecar = {
-        "interval": [dataset.grid.a, dataset.grid.b],
-        "points": [float(p) for p in dataset.grid.points],
-    }
-    _sidecar_path(path).write_text(
-        json.dumps(sidecar) + "\n", encoding="utf-8", newline="\n"
-    )
+    Report(_columns(dataset.n_points), rows).write_csv(path)
+    sidecar = {"interval": [dataset.grid.a, dataset.grid.b], "points": dataset.grid.points.tolist()}
+    _sidecar_path(path).write_text(json.dumps(sidecar) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
@@ -191,78 +188,81 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
         raise FileNotFoundError(f"grid sidecar not found: {side}")
     meta = json.loads(side.read_text(encoding="utf-8"))
     grid = Grid(points=np.asarray(meta["points"], dtype=np.float64))
+    interval, tol = meta.get("interval"), 1e-12 * max(grid.span, 1.0)  # Grid's weight tolerance
+    if np.shape(interval) != (2,) or not np.allclose(interval, (grid.a, grid.b), rtol=0, atol=tol):
+        raise ValueError(f"{side}: interval {interval} does not match the points' range "
+                         f"[{grid.a!r}, {grid.b!r}]")
 
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
     m = len(grid)
-    expected_header = ["sample_id", "feature", "label"] + [f"t_{j + 1}" for j in range(m)]
-    if header != expected_header:
+    if tuple(lines[0].split(",")) != _columns(m):
         raise ValueError(f"{path}: header does not match schema for M={m}")
     if expect_m is not None and m != expect_m:
         raise ValueError(f"{path}: expected M={expect_m}, sidecar has M={m}")
 
-    sample_order: list = []
-    per_sample: dict = {}
-    labels: dict = {}
+    samples: dict = {}  # sample id -> (label, {feature: row}), in order of appearance
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != 3 + m:
-            raise ValueError(
-                f"{path}:{lineno}: ragged row, expected {3 + m} cells, got {len(cells)}"
-            )
-        sid, feat, label = cells[0], cells[1], cells[2]
-        vals = np.empty(m)
-        for j, cell in enumerate(cells[3:]):
-            try:
-                vals[j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric cell in column t_{j + 1}: {cell!r}"
-                ) from None
-        if not np.all(np.isfinite(vals)):
-            j = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise ValueError(f"{path}:{lineno}: non-finite value in column t_{j + 1}")
-        if sid not in per_sample:
-            sample_order.append(sid)
-            per_sample[sid] = {}
-            labels[sid] = label
-        elif labels[sid] != label:
+            raise ValueError(f"{path}:{lineno}: ragged row, expected {3 + m} cells, "
+                             f"got {len(cells)}")
+        sid, feat, label = cells[:3]
+        if not rows:
+            first_label = label
+        sample_label, feats = samples.setdefault(sid, (label, {}))
+        if label != sample_label:
             raise ValueError(f"{path}:{lineno}: label differs across rows of sample {sid}")
-        if feat in per_sample[sid]:
+        if (label == "") != (first_label == ""):
+            raise ValueError(f"{path}:{lineno}: sample {sid} has label {label!r} but the first "
+                             f"sample has {first_label!r}; label every sample or none")
+        if feat in feats:
             raise ValueError(f"{path}:{lineno}: duplicate feature {feat!r} for sample {sid}")
-        per_sample[sid][feat] = vals
+        feats[feat] = len(rows)
+        rows.append(cells[3:])
 
-    if not sample_order:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    feature_names = list(per_sample[sample_order[0]].keys())
+    try:
+        block = np.array(rows, dtype=np.float64)
+    except ValueError:
+        raise _bad_cell(path, lines) from None
+    if not np.all(np.isfinite(block)):
+        raise _bad_cell(path, lines)
+    feature_names = list(next(iter(samples.values()))[1])
     if expect_features is not None and feature_names != list(expect_features):
-        raise ValueError(
-            f"{path}: expected features {list(expect_features)}, got {feature_names}"
-        )
-    values = np.empty((len(sample_order), len(feature_names), m))
-    for i, sid in enumerate(sample_order):
-        feats = per_sample[sid]
-        if list(feats.keys()) != feature_names:
+        raise ValueError(f"{path}: expected features {list(expect_features)}, "
+                         f"got {feature_names}")
+    for sid, (_, feats) in samples.items():
+        if list(feats) != feature_names:
             raise ValueError(f"{path}: sample {sid} has features {list(feats)} "
                              f"instead of {feature_names}")
-        for r, name in enumerate(feature_names):
-            values[i, r] = feats[name]
+    values = block[[list(feats.values()) for _, feats in samples.values()]]
 
-    label_values = [labels[sid] for sid in sample_order]
-    if all(lbl == "" for lbl in label_values):
-        label_arr = None
+    labels = [label for label, _ in samples.values()]
+    if first_label == "":
+        labels = None
     else:
         try:
-            label_arr = np.array([float(v) for v in label_values])
+            labels = np.array(labels, dtype=np.float64)
         except ValueError:
-            label_arr = np.array(label_values, dtype=object)
-    return FunctionalDataset(
-        values=values, grid=grid, feature_names=tuple(feature_names), labels=label_arr
-    )
+            labels = np.array(labels, dtype=object)
+    return FunctionalDataset(values, grid, tuple(feature_names), labels)
+
+
+def _bad_cell(path, lines) -> ValueError:
+    """The error naming the first non-numeric or non-finite cell (error path only)."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        for j, cell in enumerate(line.split(",")[3:], start=1):
+            try:
+                if not np.isfinite(float(cell)):
+                    return ValueError(f"{path}:{lineno}: non-finite value in column t_{j}")
+            except ValueError:
+                return ValueError(f"{path}:{lineno}: non-numeric cell in column t_{j}: {cell!r}")
 
 
 # --- standardization ----------------------------------------------------------

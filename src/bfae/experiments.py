@@ -45,6 +45,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 KINDS = ("sim1", "sim10", "phoneme", "adelaide", "custom")
+# the ``paths`` keys each real-data kind reads, one CSV per dataset
+REALDATA_PATHS = {"phoneme": ("phoneme",), "adelaide": ("adelaide_temperature", "adelaide_demand")}
 
 
 def default_config(kind: str) -> dict:
@@ -248,15 +250,15 @@ def _write_report(report: Report, out_dir: Path) -> list:
     return [report.write_csv(out_dir / "report.csv"), report.write_json(out_dir / "report.json")]
 
 
-def _standin(cfg: dict):
-    """The kind's stand-in from the first replication's data seed: a labeled
-    phoneme dataset, or Adelaide's ``(temperature, demand)`` pair."""
+def _standin(cfg: dict) -> tuple:
+    """The kind's stand-in from the first replication's data seed, one dataset per
+    ``REALDATA_PATHS`` key: ``(phoneme,)`` or Adelaide's ``(temperature, demand)``."""
     sim, seed = cfg["sim"], _derived_seeds(cfg["master_seed"], 0)[0]
     if cfg["kind"] == "phoneme":
-        return make_phoneme_standin(
+        return (make_phoneme_standin(
             n_samples=sim["n_samples"], m_points=sim["m_points"],
             class_sep=cfg["standin_class_sep"], seed=seed,
-        )
+        ),)
     return make_adelaide_standin(n_weeks=sim["n_samples"], m_points=sim["m_points"], seed=seed)
 
 
@@ -269,12 +271,9 @@ def run_simulate(cfg: dict, out_dir) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     kind = cfg["kind"]
-    if kind == "phoneme":
-        written.append(save_csv(_standin(cfg), out_dir / "phoneme_standin.csv"))
-    elif kind == "adelaide":
-        temp, demand = _standin(cfg)
-        written.append(save_csv(temp, out_dir / "adelaide_temperature_standin.csv"))
-        written.append(save_csv(demand, out_dir / "adelaide_demand_standin.csv"))
+    if kind in REALDATA_PATHS:
+        for key, ds in zip(REALDATA_PATHS[kind], _standin(cfg)):
+            written.append(save_csv(ds, out_dir / f"{key}_standin.csv"))
     else:
         sim_cfg = _sim_config(cfg, _derived_seeds(cfg["master_seed"], 0)[0])
         ds = sample_gp(sim_cfg)
@@ -292,7 +291,7 @@ def run_simulate(cfg: dict, out_dir) -> list:
 def run_train(cfg: dict, out_dir) -> list:
     """Train the configured model on the dataset (file, or fresh simulation for sim kinds)."""
     dataset_path = cfg["paths"]["dataset"]
-    if not dataset_path and cfg["kind"] in ("phoneme", "adelaide"):
+    if not dataset_path and cfg["kind"] in REALDATA_PATHS:
         raise ValueError(f"train --kind {cfg['kind']} needs paths.dataset; to fit the "
                          f"{cfg['kind']} data or stand-in, run bfae realdata --kind {cfg['kind']}")
     if cfg["standardize"]:
@@ -328,7 +327,6 @@ def _benchmark_replication(args):
 
     rows = []
     figure = None
-    ok = True
     for method, reducer, model_cfg in _methods(cfg, ds.grid, r, bfae_seed, with_none=False):
         m_latent = model_cfg.latent_shape[1] if reducer == "bfae" else None
         r_latent = model_cfg.latent_shape[0] if reducer == "bfae" else None
@@ -354,18 +352,17 @@ def _benchmark_replication(args):
                     figure = {"t": ds.grid.points, "truth": test_ds.values[0, 0]}
                 figure[method] = reconstruct(test_ds.values[:1])[0, 0]
         except Exception as exc:  # cell failure: flush a marker row, keep going
-            ok = False
             rows.append({
                 **base, "split": "error", "metric": "failure", "value": float("nan"),
             })
             print(f"replication {rep} method {method} failed: {exc}")
-    return rep, rows, figure, ok
+    return rows, figure
 
 
 def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
     """Replicated simulation benchmark; returns ``(paths, all_cells_ok)``."""
     kind, reps = cfg["kind"], int(cfg["replications"])
-    if kind in ("phoneme", "adelaide"):
+    if kind in REALDATA_PATHS:
         raise ValueError(f"benchmark fits simulated curves only; to fit the {kind} "
                          f"data or stand-in, run bfae realdata --kind {kind}")
     if cfg["standardize"]:
@@ -380,78 +377,61 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
             results = list(pool.map(_benchmark_replication, tasks))
     else:
         results = [_benchmark_replication(task) for task in tasks]
-    results.sort(key=lambda item: item[0])
 
     report = Report(columns=BENCHMARK_COLUMNS)
-    figure = None
-    ok = True
-    for _, rows, fig, rep_ok in results:
+    for rows, _ in results:
         report.extend(rows)
-        ok = ok and rep_ok
-        if fig is not None:
-            figure = fig
     summarize_benchmark(report)
 
     paths = _write_report(report, out_dir)
+    figure = results[0][1]  # replication 0 reconstructs the figure's curve
     if figure is not None:
         # columns: t, truth, then each method that reconstructed
         fig = Report(tuple(figure), list(zip(*figure.values())))
         paths.append(fig.write_csv(out_dir / "figure_reconstruction.csv"))
-    return paths, ok
+    return paths, all(row["metric"] != "failure" for rows, _ in results for row in rows)
 
 
 # --- real data ----------------------------------------------------------------------
 
 
-def _phoneme_data(cfg: dict):
-    paths = cfg["paths"]
-    if paths["phoneme"]:
-        return load_csv(paths["phoneme"], expect_m=cfg["sim"]["m_points"])
-    if not cfg["standin"]:
-        raise FileNotFoundError(
-            "no phoneme CSV configured and stand-in mode is off; convert the "
-            "source data to the documented CSV schema and set paths.phoneme, "
-            "or set standin=true"
-        )
-    return _standin(cfg)
-
-
-def _adelaide_data(cfg: dict):
-    paths = cfg["paths"]
-    if paths["adelaide_temperature"] and paths["adelaide_demand"]:
-        temp = load_csv(paths["adelaide_temperature"], expect_m=cfg["sim"]["m_points"])
-        demand = load_csv(paths["adelaide_demand"], expect_m=cfg["sim"]["m_points"])
-        if temp.n_samples != demand.n_samples:
+def _realdata(cfg: dict) -> tuple:
+    """One dataset per ``REALDATA_PATHS`` key of the kind: its CSVs when all its
+    ``paths`` keys are set, its stand-in when none are."""
+    keys = REALDATA_PATHS[cfg["kind"]]
+    unset = [f"paths.{key}" for key in keys if not cfg["paths"][key]]
+    named = " and ".join(f"paths.{key}" for key in keys)
+    if not unset:
+        data = tuple(load_csv(cfg["paths"][key], expect_m=cfg["sim"]["m_points"]) for key in keys)
+        if len({ds.n_samples for ds in data}) > 1:
             raise ValueError("temperature and demand files must pair sample for sample")
-        return temp, demand
+        return data
+    if len(unset) < len(keys):
+        raise ValueError(f"{' and '.join(unset)} is not set; the {cfg['kind']} data "
+                         f"needs {named}, or none of them for the stand-in")
     if not cfg["standin"]:
-        raise FileNotFoundError(
-            "no Adelaide CSVs configured and stand-in mode is off; convert the "
-            "source data to the documented CSV schema and set "
-            "paths.adelaide_temperature / paths.adelaide_demand, or set standin=true"
-        )
+        raise FileNotFoundError(f"no {cfg['kind']} CSV configured and stand-in mode is off; "
+                                f"convert the source data to the documented CSV schema and "
+                                f"set {named}, or set standin=true")
     return _standin(cfg)
 
 
 def run_realdata(cfg: dict, out_dir):
     """Real-data (or stand-in) protocol; returns ``(paths, all_cells_ok)``."""
     kind = cfg["kind"]
-    if kind not in ("phoneme", "adelaide"):
+    if kind not in REALDATA_PATHS:
         raise ValueError("realdata runs need kind 'phoneme' or 'adelaide'")
     if cfg["replications"] != 1:
         raise ValueError(f"realdata runs one split; set replications=1, not {cfg['replications']}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _, split_seed, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
     split = _split(cfg, split_seed)
-
     if kind == "phoneme":
-        ds = _phoneme_data(cfg)
+        (ds,) = _realdata(cfg)
         train_in, test_in = train_test_split(ds, split)
         data = PipelineData(train_inputs=train_in, test_inputs=test_in)
         task = "classify"
     else:
-        temp, demand = _adelaide_data(cfg)
+        temp, demand = _realdata(cfg)
         tr_idx, te_idx = split_indices(temp.n_samples, split)
         data = PipelineData(
             train_inputs=temp.subset(tr_idx),
@@ -460,6 +440,8 @@ def run_realdata(cfg: dict, out_dir):
             test_outputs=demand.subset(te_idx),
         )
         task = "regress"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     inputs = data.train_inputs
     methods = _methods(cfg, inputs.grid, inputs.n_features, bfae_seed, with_none=True)

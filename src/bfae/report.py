@@ -78,19 +78,15 @@ def summarize_benchmark(report: Report) -> Report:
     if report.columns != BENCHMARK_COLUMNS:
         raise ValueError("summarize_benchmark expects the benchmark column layout")
     groups: dict = {}
-    order: list = []
     rep_idx = report.columns.index("replication")
     val_idx = report.columns.index("value")
     for row in report.rows:
         if row[rep_idx] == "mean":
             continue
         key = row[:rep_idx] + row[rep_idx + 1 : val_idx]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row[val_idx])
-    for key in order:
-        vals = np.asarray(groups[key], dtype=np.float64)
+        groups.setdefault(key, []).append(row[val_idx])
+    for key, group in groups.items():
+        vals = np.asarray(group, dtype=np.float64)
         report.add(
             method=key[0], n=key[1], m=key[2], r=key[3],
             m_latent=key[4], r_latent=key[5],

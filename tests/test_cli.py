@@ -214,11 +214,15 @@ class TestTrainCommand:
     ("simulate", "sim1", FAST_BENCH), ("train", "sim1", FAST_BENCH),
     ("realdata", "phoneme", FAST_REALDATA),
 ], ids=["simulate", "train", "realdata"])
-@pytest.mark.parametrize("jobs", ["-5", "0", "2"])
-def test_jobs_outside_benchmark_is_an_error(command, kind, fast, jobs, tmp_path):
+@pytest.mark.parametrize("flags, match", [
+    (["--jobs", "-5"], "got --jobs -5"), (["--jobs", "0"], "got --jobs 0"),
+    (["--jobs", "2"], "got --jobs 2"), (["--paper-scale"], "got --paper-scale"),
+], ids=["-5", "0", "2", "paper-scale"])
+def test_jobs_outside_benchmark_is_an_error(command, kind, fast, flags, match, tmp_path):
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=f"--jobs applies to bfae benchmark only.*not {jobs}"):
-        main([command, "--kind", kind, "--out", str(out), "--jobs", jobs] + fast)
+    with pytest.raises(ValueError, match=f"--jobs and --paper-scale apply to bfae benchmark "
+                                         f"only.*{match}"):
+        main([command, "--kind", kind, "--out", str(out)] + flags + fast)
     assert not out.exists()
 
 
@@ -357,7 +361,19 @@ class TestRealdataCommand:
     def test_replications_other_than_one_are_an_error(self, kind, tmp_path):
         out = tmp_path / "real"
         with pytest.raises(ValueError, match="realdata runs one split"):
-            main(["realdata", "--kind", kind, "--out", str(out), "--paper-scale"] + FAST_REALDATA)
+            main(["realdata", "--kind", kind, "--out", str(out)] + FAST_REALDATA
+                 + ["--set", "replications=2"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, unset", [
+        ("adelaide_demand", "adelaide_temperature"), ("adelaide_temperature", "adelaide_demand"),
+    ])
+    def test_half_configured_adelaide_paths_are_an_error(self, given, unset, tmp_path):
+        missing = json.dumps(str(tmp_path / "missing.csv"))
+        out = tmp_path / "ad"
+        with pytest.raises(ValueError, match=f"paths.{unset} is not set"):
+            main(["realdata", "--kind", "adelaide", "--out", str(out),
+                  "--set", f"paths.{given}={missing}"] + FAST_REALDATA)
         assert not out.exists()
 
     def test_missing_files_error_mentions_converter(self, tmp_path):

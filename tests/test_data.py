@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,92 @@ class TestCsvRoundTrip:
         text = path.read_text().replace("sample_id", "id")
         path.write_text(text)
         with pytest.raises(ValueError, match="header"):
+            load_csv(path)
+
+
+def labelled_csv(tmp_path, labels=("aa", "ao", "aa")):
+    """A 3-sample, 2-feature, M=4 file: line 1 is the header, lines 2-7 hold
+    sample i's features f0 and f1 on lines 2 + 2i and 3 + 2i."""
+    labels = np.array(labels, dtype=object)
+    return save_csv(tiny_dataset(n=3, r=2, m=4, labels=labels), tmp_path / "d.csv")
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)))
+    return path
+
+
+def set_cell(lineno, column, value):
+    def edit(lines):
+        cells = lines[lineno - 1].split(",")
+        cells[column] = value
+        lines[lineno - 1] = ",".join(cells)
+        return lines
+    return edit
+
+
+def sidecar(path):
+    return path.with_name(path.stem + ".grid.json")
+
+
+class TestCsvContract:
+    @pytest.mark.parametrize("edit, kwargs, match", [
+        (lambda lines: [], {}, r"d.csv: empty file"),
+        (lambda lines: lines[:1], {}, r"d.csv: no data rows"),
+        (None, {"expect_m": 5}, r"d.csv: expected M=5, sidecar has M=4"),
+        (None, {"expect_features": ("f0", "x")},
+         r"d.csv: expected features \['f0', 'x'\], got \['f0', 'f1'\]"),
+        (set_cell(3, 4, "inf"), {}, r"d.csv:3: non-finite value in column t_2"),
+        (set_cell(3, 2, "ao"), {}, r"d.csv:3: label differs across rows of sample 0"),
+        (set_cell(5, 1, "f0"), {}, r"d.csv:5: duplicate feature 'f0' for sample 1"),
+        (set_cell(5, 1, "g1"), {},
+         r"d.csv: sample 1 has features \['f0', 'g1'\] instead of \['f0', 'f1'\]"),
+    ], ids=["empty", "header-only", "expect-m", "expect-features", "inf",
+            "label-differs", "duplicate-feature", "features-differ"])
+    def test_malformed_file_is_named(self, edit, kwargs, match, tmp_path):
+        path = labelled_csv(tmp_path)
+        if edit is not None:
+            edit_lines(path, edit)
+        with pytest.raises(ValueError, match=match):
+            load_csv(path, **kwargs)
+
+    def test_missing_sidecar(self, tmp_path):
+        path = labelled_csv(tmp_path)
+        sidecar(path).unlink()
+        with pytest.raises(FileNotFoundError, match=r"grid sidecar not found: .*d.grid.json"):
+            load_csv(path)
+
+    def test_interleaved_rows_load_like_contiguous_rows(self, tmp_path):
+        path = labelled_csv(tmp_path)
+        expected = load_csv(path)
+        # sample 0, 1, 2 rows of f0 first, then their f1 rows
+        edit_lines(path, lambda lines: [lines[i] for i in (0, 1, 3, 5, 2, 4, 6)])
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values, expected.values)
+        np.testing.assert_array_equal(back.labels, expected.labels)
+        assert back.feature_names == expected.feature_names == ("f0", "f1")
+
+    @pytest.mark.parametrize("interval", [[0.0, 2.0], [-0.5, 1.0], [0.0, 1.0 + 1e-11]])
+    def test_sidecar_interval_must_match_points(self, interval, tmp_path):
+        path = labelled_csv(tmp_path)
+        meta = json.loads(sidecar(path).read_text())
+        meta["interval"] = interval
+        sidecar(path).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"d.grid.json: interval .* points"):
+            load_csv(path)
+        meta["interval"] = [0.0, 1.0 + 1e-13]  # within Grid's 1e-12 tolerance
+        sidecar(path).write_text(json.dumps(meta))
+        load_csv(path)
+
+    @pytest.mark.parametrize("labels, lineno, sid", [
+        (("aa", "", "aa"), 4, 1),
+        (("", "aa", ""), 4, 1),
+        (("aa", "ao", ""), 6, 2),
+    ])
+    def test_labels_set_for_every_sample_or_none(self, labels, lineno, sid, tmp_path):
+        path = labelled_csv(tmp_path, labels)
+        with pytest.raises(ValueError, match=rf"d.csv:{lineno}: sample {sid} .*every sample"):
             load_csv(path)
 
 
