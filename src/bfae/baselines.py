@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import Grid
 from .layers import Activation, ContinuousLayer
-from .model import BFAEConfig, BFAEModel, train
+from .model import BFAEConfig, BFAEModel, check_lr, train
 
 __all__ = [
     "PCAModel",
@@ -225,6 +225,7 @@ def ae_fit(
     Weights start Glorot-uniform, drawn layer by layer from one generator
     seeded with ``seed``; biases start at zero.
     """
+    check_lr(lr)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be (n, d)")

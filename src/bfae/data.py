@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SD_FLOOR = 1e-12
+CHUNK_CELLS = 1 << 13  # numeric cells load_csv keeps as text at a time
 
 
 @dataclass(frozen=True)
@@ -193,46 +194,49 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
         raise ValueError(f"{side}: interval {interval} does not match the points' range "
                          f"[{grid.a!r}, {grid.b!r}]")
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
     m = len(grid)
-    if tuple(lines[0].split(",")) != _columns(m):
-        raise ValueError(f"{path}: header does not match schema for M={m}")
-    if expect_m is not None and m != expect_m:
-        raise ValueError(f"{path}: expected M={expect_m}, sidecar has M={m}")
-
     samples: dict = {}  # sample id -> (label, {feature: row}), in order of appearance
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 3 + m:
-            raise ValueError(f"{path}:{lineno}: ragged row, expected {3 + m} cells, "
-                             f"got {len(cells)}")
-        sid, feat, label = cells[:3]
-        if not rows:
-            first_label = label
-        sample_label, feats = samples.setdefault(sid, (label, {}))
-        if label != sample_label:
-            raise ValueError(f"{path}:{lineno}: label differs across rows of sample {sid}")
-        if (label == "") != (first_label == ""):
-            raise ValueError(f"{path}:{lineno}: sample {sid} has label {label!r} but the first "
-                             f"sample has {first_label!r}; label every sample or none")
-        if feat in feats:
-            raise ValueError(f"{path}:{lineno}: duplicate feature {feat!r} for sample {sid}")
-        feats[feat] = len(rows)
-        rows.append(cells[3:])
-
-    if not rows:
+    blocks, chunk, n_rows = [], [], 0  # numeric rows, parsed in chunks
+    chunk_rows = max(1, CHUNK_CELLS // m)
+    with path.open(encoding="utf-8") as lines:
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if tuple(header.rstrip("\n").split(",")) != _columns(m):
+            raise ValueError(f"{path}: header does not match schema for M={m}")
+        if expect_m is not None and m != expect_m:
+            raise ValueError(f"{path}: expected M={expect_m}, sidecar has M={m}")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != 3 + m:
+                raise ValueError(f"{path}:{lineno}: ragged row, expected {3 + m} cells, "
+                                 f"got {len(cells)}")
+            sid, feat, label = cells[:3]
+            if not n_rows:
+                first_label = label
+            sample_label, feats = samples.setdefault(sid, (label, {}))
+            if label != sample_label:
+                raise ValueError(f"{path}:{lineno}: label differs across rows of sample {sid}")
+            if (label == "") != (first_label == ""):
+                raise ValueError(f"{path}:{lineno}: sample {sid} has label {label!r} but the "
+                                 f"first sample has {first_label!r}; label every sample or none")
+            if feat in feats:
+                raise ValueError(f"{path}:{lineno}: duplicate feature {feat!r} for sample {sid}")
+            feats[feat] = n_rows
+            n_rows += 1
+            chunk.append(cells[3:])
+            if len(chunk) == chunk_rows:
+                blocks.append(_parse_rows(chunk))
+                chunk = []
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
-    try:
-        block = np.array(rows, dtype=np.float64)
-    except ValueError:
-        raise _bad_cell(path, lines) from None
-    if not np.all(np.isfinite(block)):
-        raise _bad_cell(path, lines)
+    if chunk:
+        blocks.append(_parse_rows(chunk))
+    if any(block is None for block in blocks):
+        raise _bad_cell(path)
     feature_names = list(next(iter(samples.values()))[1])
     if expect_features is not None and feature_names != list(expect_features):
         raise ValueError(f"{path}: expected features {list(expect_features)}, "
@@ -241,6 +245,8 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
         if list(feats) != feature_names:
             raise ValueError(f"{path}: sample {sid} has features {list(feats)} "
                              f"instead of {feature_names}")
+    block = np.concatenate(blocks)
+    del blocks  # so the copy below peaks at two blocks' size, not three
     values = block[[list(feats.values()) for _, feats in samples.values()]]
 
     labels = [label for label, _ in samples.values()]
@@ -254,15 +260,28 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
     return FunctionalDataset(values, grid, tuple(feature_names), labels)
 
 
-def _bad_cell(path, lines) -> ValueError:
-    """The error naming the first non-numeric or non-finite cell (error path only)."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        for j, cell in enumerate(line.split(",")[3:], start=1):
-            try:
-                if not np.isfinite(float(cell)):
-                    return ValueError(f"{path}:{lineno}: non-finite value in column t_{j}")
-            except ValueError:
-                return ValueError(f"{path}:{lineno}: non-numeric cell in column t_{j}: {cell!r}")
+def _parse_rows(rows) -> Optional[np.ndarray]:
+    """Numeric cells as a float64 block; ``None`` if one is non-numeric or non-finite."""
+    try:
+        block = np.array(rows, dtype=np.float64)
+    except ValueError:
+        return None
+    return block if np.all(np.isfinite(block)) else None
+
+
+def _bad_cell(path) -> ValueError:
+    """The error naming the first non-numeric or non-finite cell (error path only:
+    re-reads the file)."""
+    with path.open(encoding="utf-8") as lines:
+        next(lines)
+        for lineno, line in enumerate(lines, start=2):
+            for j, cell in enumerate(line.rstrip("\n").split(",")[3:], start=1):
+                try:
+                    if not np.isfinite(float(cell)):
+                        return ValueError(f"{path}:{lineno}: non-finite value in column t_{j}")
+                except ValueError:
+                    return ValueError(f"{path}:{lineno}: non-numeric cell in column t_{j}: "
+                                      f"{cell!r}")
 
 
 # --- standardization ----------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "layer_backward",
     "init_layer",
     "sgd_step",
+    "weigh_input",
 ]
 
 ACTIVATION_KINDS = ("relu", "tanh", "sigmoid", "linear")
@@ -87,12 +88,13 @@ def _sigmoid(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 class ContinuousLayer:
     """One continuous layer: weight surfaces, bias functions, activation.
 
-    Stored in the layout it multiplies by: ``matrix`` ``(j_out*m_out, j_in*m_in)``
-    (rows over ``(r, s)``, columns over ``(j, t)``), ``bias`` ``(j_out*m_out,)``
-    and ``quad``, the input quadrature weights tiled over ``j_in``, or ``None``
-    when all are 1 (the dense AE).  ``weights`` ``(j_out, j_in, m_out, m_in)``
-    and ``biases`` ``(j_out, m_out)`` are writable views of that storage; the
-    arrays passed in are copied.
+    All parameters live in one vector ``params``: the rows of ``matrix``
+    ``(j_out*m_out, j_in*m_in)`` (rows over ``(r, s)``, columns over ``(j, t)``),
+    then ``bias`` ``(j_out*m_out,)``.  ``matrix``, ``bias``, ``weights``
+    ``(j_out, j_in, m_out, m_in)`` and ``biases`` ``(j_out, m_out)`` are writable
+    views of it; the arrays passed in are copied.  ``quad`` holds the input
+    quadrature weights tiled over ``j_in``, or ``None`` when all are 1 (the
+    dense AE).
     """
 
     in_grid: Grid
@@ -117,10 +119,12 @@ class ContinuousLayer:
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters must be finite")
         self.j_out, self.j_in = j_out, j_in
-        self.matrix = np.array(w.transpose(0, 2, 1, 3), order="C").reshape(j_out * m_out, -1)
-        self.bias = np.array(b).reshape(-1)
+        self.params = np.empty(w.size + b.size)
+        self.matrix, self.bias = _split(self.params, j_out * m_out)
         self.weights = _surfaces(self.matrix, j_out, j_in)
         self.biases = self.bias.reshape(j_out, m_out)
+        self.weights[...] = w
+        self.biases[...] = b
         qw = self.in_grid.quad_weights
         self.quad = None if np.all(qw == 1.0) else np.tile(qw, j_in)
 
@@ -128,40 +132,65 @@ class ContinuousLayer:
         return ContinuousLayer(self.in_grid, self.out_grid, self.weights, self.biases, self.activation)
 
 
+def _split(vector: np.ndarray, rows: int):
+    # the (matrix, bias) views of a vector laid out like ``params``
+    cols = (len(vector) - rows) // rows
+    return vector[: rows * cols].reshape(rows, cols), vector[rows * cols :]
+
+
 def _surfaces(matrix: np.ndarray, j_out: int, j_in: int) -> np.ndarray:
     # the (j_out, j_in, m_out, m_in) view of a (j_out * m_out, j_in * m_in) matrix
     return matrix.reshape(j_out, matrix.shape[0] // j_out, j_in, -1).transpose(0, 2, 1, 3)
 
 
-class LayerCache:
-    """Workspace of one layer for one batch size: ``input`` (the raw input)
-    plus buffers that :func:`layer_forward` (weighted input, pre-activation,
-    activation) and, once made by the first backward pass,
-    :func:`layer_backward` (delta, gradients) and :func:`sgd_step` write.
-    ``grad_input`` is made only by a backward pass that computes it."""
+def weigh_input(layer: ContinuousLayer, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """``x`` times ``layer.quad``, flattened to ``(batch, j_in*m_in)``, into
+    ``out`` if given; with unit weights, the flattened ``x`` itself."""
+    flat = x.reshape(len(x), -1)
+    return flat if layer.quad is None else np.multiply(flat, layer.quad, out=out)
 
-    def __init__(self, layer: ContinuousLayer, batch: int):
-        self.input = self.grad_matrix = self.grad_input = None
-        self.step_weights = self.step_biases = None
-        self.weighted = None if layer.quad is None else np.empty((batch, layer.matrix.shape[1]))
-        self.pre_activation = np.empty((batch, layer.j_out, len(layer.out_grid)))
+
+class LayerCache:
+    """Workspace of ``layer`` for one batch size, with the input and output
+    shapes it expects (``in_shape``, ``out_shape``).
+
+    :func:`layer_forward` keeps the raw ``input`` and the ``weighted`` input
+    and writes the pre-activation and activation; the first backward pass
+    makes ``grads`` (laid out like ``layer.params``, with ``grad_matrix``,
+    ``grad_bias``, ``grad_weights`` and ``grad_biases`` as views) and
+    ``step``, which :func:`sgd_step` writes.  ``grad_input`` is made only by
+    a backward pass that computes it.  With ``weigh=False`` no buffer for the
+    weighted input is made: for a layer whose forward calls are passed it.
+    """
+
+    def __init__(self, layer: ContinuousLayer, batch: int, weigh: bool = True):
+        self.layer = layer
+        self.in_shape = (batch, layer.j_in, len(layer.in_grid))
+        self.out_shape = (batch, layer.j_out, len(layer.out_grid))
+        self.input = self.weighted = None
+        weigh = weigh and layer.quad is not None
+        self.weigh_buffer = np.empty((batch, len(layer.quad))) if weigh else None
+        self.grads = self.step = self.grad_input = None
+        self.pre_activation = np.empty(self.out_shape)
         linear = layer.activation.kind == "linear"
         self.output = self.pre_activation if linear else np.empty_like(self.pre_activation)
 
     def _backward_buffers(self, layer: ContinuousLayer):
         self.delta = None if self.output is self.pre_activation else np.empty_like(self.output)
-        self.grad_matrix = np.empty_like(layer.matrix)
+        self.grads, self.step = np.empty_like(layer.params), np.empty_like(layer.params)
+        self.grad_matrix, self.grad_bias = _split(self.grads, len(layer.bias))
         self.grad_weights = _surfaces(self.grad_matrix, layer.j_out, layer.j_in)
-        self.grad_biases, self.step_biases = np.empty_like(layer.biases), np.empty_like(layer.biases)
-        self.step_weights = np.empty_like(layer.weights)  # same memory order as the weights
+        self.grad_biases = self.grad_bias.reshape(layer.biases.shape)
 
 
-def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = None):
+def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = None,
+                  weighted: np.ndarray = None):
     """Apply the layer to a batch ``(batch, j_in, m_in)``.
 
     Returns ``(output, cache)`` with output ``(batch, j_out, m_out)``.  Without
     ``cache`` the input is checked and a new cache made; with one, the caller
-    has checked the input and the results go into its buffers.
+    has checked the input and the results go into its buffers.  A caller that
+    already holds ``weigh_input(layer, x)`` may pass it as ``weighted``.
     """
     if cache is None:
         x = np.asarray(x, dtype=np.float64)
@@ -172,16 +201,16 @@ def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = Non
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite layer input")
         cache = LayerCache(layer, x.shape[0])
-    elif x.shape != (len(cache.pre_activation), layer.j_in, len(layer.in_grid)):
+    elif cache.layer is not layer:
+        raise ValueError("stale cache: made for another layer")
+    elif x.shape != cache.in_shape:
         raise ValueError(f"input shape {x.shape} does not match the cache")
-    n = x.shape[0]
     cache.input = x
-    xw = x.reshape(n, -1)
-    if layer.quad is not None:
-        xw = np.multiply(xw, layer.quad, out=cache.weighted)
-    cache.weighted = xw
-    pre = cache.pre_activation.reshape(n, -1)
-    np.matmul(xw, layer.matrix.T, out=pre)
+    if weighted is None:
+        weighted = weigh_input(layer, x, cache.weigh_buffer)
+    cache.weighted = weighted
+    pre = cache.pre_activation.reshape(len(x), -1)
+    np.matmul(weighted, layer.matrix.T, out=pre)
     pre += layer.bias
     return layer.activation.apply(cache.pre_activation, out=cache.output), cache
 
@@ -194,30 +223,30 @@ def layer_backward(
     ``upstream`` is the loss gradient w.r.t. the layer output.  Returns
     ``(grad_weights, grad_biases, grad_input)`` where the parameter gradients
     are summed over the batch and ``grad_input`` is the adjoint-propagated
-    per-sample gradient w.r.t. the layer input, all in the cache's buffers.
-    With ``input_grad=False`` (a layer whose input is the data) the input
-    gradient is not computed and ``grad_input`` is ``None``.
+    per-sample gradient w.r.t. the layer input, all in the cache's buffers
+    (the parameter gradients are views of ``cache.grads``).  With
+    ``input_grad=False`` (a layer whose input is the data) the input gradient
+    is not computed and ``grad_input`` is ``None``.
     """
-    n = cache.input.shape[0]
-    if cache.input.shape != (n, layer.j_in, len(layer.in_grid)) or cache.pre_activation.shape != (
-        n, layer.j_out, len(layer.out_grid),
-    ):
-        raise ValueError("stale cache: shapes do not match this layer")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache.pre_activation.shape:
+    if cache.layer is not layer:
+        raise ValueError("stale cache: made for another layer")
+    if not isinstance(upstream, np.ndarray) or upstream.dtype != np.float64:
+        upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != cache.out_shape:
         raise ValueError(
             f"upstream shape {upstream.shape} does not match (batch, j_out, m_out)"
         )
-    if cache.grad_matrix is None:
+    if cache.grads is None:
         cache._backward_buffers(layer)
+    n = len(upstream)
     delta = layer.activation.backward(upstream, cache.pre_activation, cache.output, cache.delta)
     delta = delta.reshape(n, -1)
-    np.add.reduce(delta, axis=0, out=cache.grad_biases.reshape(-1))
+    np.add.reduce(delta, axis=0, out=cache.grad_bias)
     np.matmul(delta.T, cache.weighted, out=cache.grad_matrix)
     if not input_grad:
         return cache.grad_weights, cache.grad_biases, None
     if cache.grad_input is None:
-        cache.grad_input = np.empty(cache.input.shape)
+        cache.grad_input = np.empty(cache.in_shape)
     grad_input = cache.grad_input.reshape(n, -1)
     np.matmul(delta, layer.matrix, out=grad_input)
     if layer.quad is not None:
@@ -263,17 +292,23 @@ def init_layer(
 
 
 def sgd_step(layer: ContinuousLayer, grads, lr: float, cache: LayerCache = None) -> ContinuousLayer:
-    """In-place update ``param -= lr * grad``; returns the layer.
+    """In-place update ``params -= lr * grads``; returns the layer.
 
-    ``grads`` is left unchanged.  With a ``cache`` that has been through
-    :func:`layer_backward`, the step ``lr * grad`` goes into its buffers.
+    ``grads`` is a vector laid out like ``layer.params`` (a cache's ``grads``,
+    say) or a pair ``(grad_weights, grad_biases)`` shaped like ``weights`` and
+    ``biases``; it is left unchanged.  With a ``cache`` that has been through
+    :func:`layer_backward`, the step ``lr * grads`` goes into its ``step``.
     """
-    if lr < 0:
+    if not lr >= 0:
         raise ValueError("lr must be >= 0")
-    grad_w, grad_b = grads
-    if grad_w.shape != layer.weights.shape or grad_b.shape != layer.biases.shape:
-        raise ValueError("gradient shapes do not match layer parameters")
-    weights, biases = layer.weights, layer.biases
-    weights -= np.multiply(grad_w, lr, out=None if cache is None else cache.step_weights)
-    biases -= np.multiply(grad_b, lr, out=None if cache is None else cache.step_biases)
+    if isinstance(grads, np.ndarray):
+        if grads.shape != layer.params.shape:
+            raise ValueError("gradient shapes do not match layer parameters")
+    else:
+        grad_w, grad_b = grads
+        if grad_w.shape != layer.weights.shape or grad_b.shape != layer.biases.shape:
+            raise ValueError("gradient shapes do not match layer parameters")
+        # gathered into the params layout: the matrix rows, then the bias
+        grads = np.concatenate((grad_w.transpose(0, 2, 1, 3).ravel(), grad_b.ravel()))
+    layer.params -= np.multiply(grads, lr, out=None if cache is None else cache.step)
     return layer

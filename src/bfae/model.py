@@ -10,6 +10,7 @@ full-batch gradient descent on the exact discretized gradients.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -27,6 +28,7 @@ from .layers import (
     layer_backward,
     layer_forward,
     sgd_step,
+    weigh_input,
 )
 
 __all__ = [
@@ -49,6 +51,12 @@ DIVERGENCE_FACTOR = 1e6
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
+
+
+def check_lr(lr: float) -> None:
+    """Raise ``ValueError`` unless ``lr`` is finite and ``>= 0``."""
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,7 @@ class BFAEConfig:
         a, b = self.interval
         if not b > a:
             raise ValueError("interval must satisfy b > a")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        check_lr(self.lr)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -264,22 +271,27 @@ def reconstruction_loss(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> float:
     return float(((d * d) @ grid.quad_weights).sum(axis=1).mean())
 
 
-def _gradient_pass(model: BFAEModel, x: np.ndarray, workspaces: dict):
+def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspaces: dict):
     """Forward, loss (as in :func:`reconstruction_loss`) and backward of a
-    checked batch into caches made once per batch size in ``workspaces``;
-    returns ``(loss, caches)``, the caches holding the gradients."""
-    if len(x) not in workspaces:
-        caches = [LayerCache(layer, len(x)) for layer in model.layers]
-        workspaces[len(x)] = caches, np.empty(x.shape), np.empty(x.shape)
-    caches, residual, squares = workspaces[len(x)]
+    checked batch ``x``, whose first-layer ``weigh_input`` is ``weighted``,
+    into caches made once per batch size in ``workspaces``; returns
+    ``(loss, caches)``, the caches holding the gradients."""
+    n = len(x)
+    if n not in workspaces:
+        qw = model.data_grid.quad_weights
+        # the first layer is passed the data weighted once per fit
+        caches = [LayerCache(layer, n, weigh=ell > 0) for ell, layer in enumerate(model.layers)]
+        # residual, its squares, the weights and the loss gradient's scale
+        workspaces[n] = caches, np.empty(x.shape), np.empty(x.shape), qw, (2.0 / n) * qw
+    caches, residual, squares, qw, scale = workspaces[n]
     h = x
     for layer, cache in zip(model.layers, caches):
-        h, _ = layer_forward(layer, h, cache)
-    qw = model.data_grid.quad_weights
+        h = layer_forward(layer, h, cache, weighted)[0]
+        weighted = None
     np.subtract(h, x, out=residual)
     np.multiply(residual, residual, out=squares)
-    loss = float((squares @ qw).sum(axis=1).mean())
-    residual *= (2.0 / len(x)) * qw
+    loss = float((squares @ qw).sum(axis=1).sum() / n)  # the bits of ``.mean()``
+    residual *= scale
     upstream = residual
     for ell in reversed(range(len(caches))):
         # the first layer's input is the data: its gradient would go unused
@@ -292,7 +304,8 @@ def model_gradients(model: BFAEModel, x: np.ndarray):
 
     Returns ``(loss, [(grad_w, grad_b), ...])`` ordered like ``model.layers``.
     """
-    loss, caches = _gradient_pass(model, model._check_batch(x), {})
+    x = model._check_batch(x)
+    loss, caches = _gradient_pass(model, x, weigh_input(model.layers[0], x), {})
     return loss, [(cache.grad_weights, cache.grad_biases) for cache in caches]
 
 
@@ -305,41 +318,32 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
     ``DIVERGENCE_FACTOR`` times the first epoch's loss.
     """
     cfg = model.config
+    lr, momentum = cfg.lr, cfg.momentum
     x = model._check_batch(train_values)
     n = x.shape[0]
-    momentum = cfg.momentum
-    velocity = None
-    if momentum > 0:
-        velocity = [
-            (np.zeros_like(lay.weights), np.zeros_like(lay.biases))
-            for lay in model.layers
-        ]
-    if cfg.batch_size is None or cfg.batch_size >= n:
-        batches = [slice(0, n)]
-    else:
-        batches = [slice(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
+    # the data and its quadrature weights are fixed: weigh them once per fit
+    weighted = weigh_input(model.layers[0], x)
+    size = max(1, n if cfg.batch_size is None else min(cfg.batch_size, n))
+    batches = [(x[s : s + size], weighted[s : s + size]) for s in range(0, n, size)]
+    velocity = [np.zeros_like(lay.params) for lay in model.layers] if momentum > 0 else None
     workspaces = {}
 
     losses = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
-        for sl in batches:
-            xb = x[sl]
-            batch_loss, caches = _gradient_pass(model, xb, workspaces)
+        for xb, wb in batches:
+            batch_loss, caches = _gradient_pass(model, xb, wb, workspaces)
             epoch_loss += batch_loss * xb.shape[0]
             for i, (layer, cache) in enumerate(zip(model.layers, caches)):
-                gw, gb = cache.grad_weights, cache.grad_biases
+                grads = cache.grads
                 if velocity is not None:
-                    vw, vb = velocity[i]
-                    vw *= momentum
-                    vw += gw
-                    vb *= momentum
-                    vb += gb
-                    gw, gb = vw, vb
-                sgd_step(layer, (gw, gb), cfg.lr, cache)
+                    grads = velocity[i]
+                    grads *= momentum
+                    grads += cache.grads
+                sgd_step(layer, grads, lr, cache)
         epoch_loss /= n
         losses[epoch] = epoch_loss
-        if not (np.isfinite(epoch_loss) and epoch_loss <= DIVERGENCE_FACTOR * losses[0]):
+        if not (math.isfinite(epoch_loss) and epoch_loss <= DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDiverged(
                 f"loss {epoch_loss:.6g} at epoch {epoch} (initial loss {losses[0]:.6g}): "
                 f"non-finite or above {DIVERGENCE_FACTOR:g} times the initial loss; reduce lr"
@@ -388,9 +392,16 @@ def load_model(path) -> BFAEModel:
     shapes = doc["layer_shapes"]
     if len(shapes) != config.n_layers:
         raise ValueError(f"model file has {len(shapes)} layer shapes for {config.n_layers} layers")
-    flat = np.frombuffer(
-        base64.b64decode(doc["payload_b64"]), dtype="<f8"
-    ).astype(np.float64)
+    try:
+        payload = base64.b64decode(doc["payload_b64"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{path}: payload is not base64 ({exc})") from None
+    sizes = [math.prod(shp[key]) for shp in shapes for key in ("weights", "biases")]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"{path}: payload size does not match shapes header "
+                         f"({len(payload)} bytes for {sum(sizes)} float64 values)")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    del payload  # freed before the layers copy their parts: lower peak memory
     layers = []
     offset = 0
     for shp, (in_grid, out_grid, activation) in zip(shapes, _layer_frames(config)):
@@ -400,8 +411,6 @@ def load_model(path) -> BFAEModel:
             params.append(flat[offset : offset + size].reshape(shape))
             offset += size
         layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
-    if offset != flat.size:
-        raise ValueError("payload size does not match shapes header")
     return BFAEModel(
         layers=layers,
         latent_index=config.latent_index,

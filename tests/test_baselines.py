@@ -237,6 +237,12 @@ class TestDenseAE:
             np.testing.assert_array_equal(got.weights[0, 0], w)
         assert np.ptp(history.losses) == 0.0
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_is_rejected_before_training(self, lr):
+        data = np.random.default_rng(11).standard_normal((10, 6))
+        with pytest.raises(ValueError, match="lr must be finite"):
+            ae_fit(data, [6, 3, 6], lr=lr, epochs=5, seed=1)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((7, 5))

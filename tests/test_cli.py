@@ -288,6 +288,18 @@ class TestBenchmarkCommand:
         # untouched methods still report normally
         assert any(r["method"] == "fpca" and r["metric"] == "functional_rmse" for r in rows)
 
+    @pytest.mark.parametrize("key", ["bfae.lr", "ae.lr"])
+    def test_non_finite_lr_is_an_error(self, key, tmp_path, capsys):
+        # a bfae lr stops the run before any fit; an ae lr fails the ae cells
+        argv = ["benchmark", "--kind", "sim1", "--out", str(tmp_path / "bench")]
+        argv += FAST_BENCH + ["--set", f"{key}=NaN"]
+        if key == "bfae.lr":
+            with pytest.raises(ValueError, match="lr must be finite"):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            assert "method ae failed: lr must be finite" in capsys.readouterr().out
+
     @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
     def test_real_data_kind_is_an_error(self, kind, tmp_path):
         out = tmp_path / "bench"

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bfae import data as bdata
 from bfae.data import (
     FunctionalDataset,
     SplitSpec,
@@ -192,6 +194,33 @@ class TestCsvContract:
         path = labelled_csv(tmp_path, labels)
         with pytest.raises(ValueError, match=rf"d.csv:{lineno}: sample {sid} .*every sample"):
             load_csv(path)
+
+    def test_rows_parsed_in_chunks_load_bit_for_bit(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((7, 2, 5)) * 10.0 ** rng.integers(-8, 8, size=(7, 2, 5))
+        ds = FunctionalDataset(values, make_uniform_grid(0, 1, 5), ("f0", "f1"))
+        path = save_csv(ds, tmp_path / "d.csv")
+        monkeypatch.setattr(bdata, "CHUNK_CELLS", 15)  # 3 rows per chunk, the last one short
+        assert load_csv(path).values.tobytes() == values.tobytes()
+        edit_lines(path, set_cell(14, 6, "x"))
+        with pytest.raises(ValueError, match=r"d.csv:14: non-numeric cell in column t_4: 'x'"):
+            load_csv(path)
+
+    def test_peak_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+        # the numeric cells are held as text one chunk at a time, not all at once
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 5, 1000).astype(np.float64)
+        ds = FunctionalDataset(rng.standard_normal((1000, 1, 256)), make_uniform_grid(0, 1, 256),
+                               ("f0",), labels)
+        path = save_csv(ds, tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            back = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == ds.values.tobytes()
+        assert peak < 4 * ds.values.nbytes
 
 
 class TestSplit:

@@ -263,6 +263,12 @@ class TestLayerBackward:
         _, cache = layer_forward(other, x)
         with pytest.raises(ValueError, match="stale cache"):
             layer_backward(layer, cache, np.zeros((2, 1, 5)))
+        # a workspace belongs to the layer it was made for, even at equal shapes
+        twin = other.copy()
+        with pytest.raises(ValueError, match="stale cache"):
+            layer_forward(twin, x, cache)
+        with pytest.raises(ValueError, match="stale cache"):
+            layer_backward(twin, cache, np.zeros((2, 1, 6)))
 
 
 class TestParameterStorage:
@@ -285,6 +291,46 @@ class TestParameterStorage:
         layer.biases[1, 2] = -3.0
         assert layer.matrix[2 * 4 + 3, 0 * 5 + 1] == 7.0
         assert layer.bias[1 * 4 + 2] == -3.0
+
+    def test_parameters_are_views_of_one_vector(self):
+        layer = random_layer(2, 3, 5, 4, "tanh", seed=72)
+        for view in (layer.matrix, layer.bias, layer.weights, layer.biases):
+            assert np.shares_memory(view, layer.params)
+        # the matrix rows, then the bias
+        np.testing.assert_array_equal(layer.params[: layer.matrix.size], layer.matrix.ravel())
+        np.testing.assert_array_equal(layer.params[layer.matrix.size :], layer.bias)
+        assert layer.params.size == layer.weights.size + layer.biases.size
+
+    def test_write_through_weights_changes_the_output(self):
+        layer = random_layer(2, 1, 5, 3, "linear", seed=73)
+        x = np.random.default_rng(74).standard_normal((2, 2, 5))
+        before = layer_forward(layer, x)[0].copy()
+        layer.weights[0, 1, 2, 4] += 1.0
+        delta = layer_forward(layer, x)[0] - before
+        qw = layer.in_grid.quad_weights
+        np.testing.assert_allclose(delta[:, 0, 2], qw[4] * x[:, 1, 4], rtol=1e-12)
+        delta[:, 0, 2] = 0.0
+        np.testing.assert_allclose(delta, 0.0, atol=1e-15)
+
+    def test_constructor_copies_the_callers_arrays(self):
+        g = make_uniform_grid(0, 1, 3)
+        w, b = np.ones((1, 2, 3, 3)), np.zeros((1, 3))
+        layer = ContinuousLayer(g, g, w, b, Activation("linear"))
+        w[...] = 5.0
+        b[...] = 5.0
+        assert not np.shares_memory(layer.params, w) and not np.shares_memory(layer.params, b)
+        np.testing.assert_array_equal(layer.weights, 1.0)
+        np.testing.assert_array_equal(layer.biases, 0.0)
+
+    def test_gradients_are_views_of_one_vector(self):
+        layer = random_layer(2, 3, 5, 4, "tanh", seed=75)
+        rng = np.random.default_rng(76)
+        _, cache = layer_forward(layer, rng.standard_normal((3, 2, 5)))
+        gw, gb, _ = layer_backward(layer, cache, rng.standard_normal((3, 3, 4)))
+        assert cache.grads.shape == layer.params.shape
+        for view in (gw, gb, cache.grad_matrix):
+            assert np.shares_memory(view, cache.grads)
+        assert gw.shape == layer.weights.shape and gb.shape == layer.biases.shape
 
     def test_unit_quadrature_weights_are_skipped(self):
         from bfae.grids import Grid
@@ -360,7 +406,19 @@ class TestSgdStep:
             np.testing.assert_array_equal(grad_w, kept[0])
             np.testing.assert_array_equal(grad_b, kept[1])
 
+    def test_vector_and_pair_steps_agree_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        pair, vector = (random_layer(2, 3, 4, 5, "tanh", seed=68) for _ in range(2))
+        x, upstream = rng.standard_normal((2, 2, 4)), rng.standard_normal((2, 3, 5))
+        _, cache = layer_forward(vector, x)
+        gw, gb, _ = layer_backward(vector, cache, upstream)
+        sgd_step(pair, (gw.copy(), gb.copy()), lr=0.3)
+        sgd_step(vector, cache.grads, lr=0.3, cache=cache)
+        assert pair.params.tobytes() == vector.params.tobytes()
+
     def test_shape_mismatch(self):
         layer = random_layer(1, 1, 3, 3, "linear", seed=64)
         with pytest.raises(ValueError, match="shapes"):
             sgd_step(layer, (np.zeros((1, 1, 2, 3)), np.zeros((1, 3))), lr=0.1)
+        with pytest.raises(ValueError, match="shapes"):
+            sgd_step(layer, np.zeros(layer.params.size - 1), lr=0.1)

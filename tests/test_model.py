@@ -68,6 +68,11 @@ class TestConfig:
                 activations=("tanh", "tanh"),
             )
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_lr_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            bottleneck_config(1, 9, 1, 3, lr=lr)
+
     def test_bottleneck_helper(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)
         assert cfg.feature_counts == (10, 4, 4, 10)
@@ -319,6 +324,23 @@ class TestSerialization:
         edit(doc["config"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="config keys"):
+            load_model(path)
+
+    @pytest.mark.parametrize("cut", [16, 4], ids=["whole-values", "part-value"])
+    def test_rejects_a_truncated_payload(self, cut, tmp_path):
+        path = save_model(build(bottleneck_config(1, 8, 1, 4, seed=3)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["payload_b64"] = doc["payload_b64"][:-cut]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="m.json: payload size does not match shapes header"):
+            load_model(path)
+
+    def test_rejects_a_payload_that_is_not_base64(self, tmp_path):
+        path = save_model(build(bottleneck_config(1, 8, 1, 4, seed=3)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["payload_b64"] = doc["payload_b64"][:-3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="m.json: payload is not base64"):
             load_model(path)
 
     def test_rejects_unknown_version(self, tmp_path):
