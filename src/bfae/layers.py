@@ -175,7 +175,8 @@ class LayerCache:
         linear = layer.activation.kind == "linear"
         self.output = self.pre_activation if linear else np.empty_like(self.pre_activation)
 
-    def _backward_buffers(self, layer: ContinuousLayer):
+    def _backward_buffers(self):
+        layer = self.layer
         self.delta = None if self.output is self.pre_activation else np.empty_like(self.output)
         self.grads, self.step = np.empty_like(layer.params), np.empty_like(layer.params)
         self.grad_matrix, self.grad_bias = _split(self.grads, len(layer.bias))
@@ -237,7 +238,7 @@ def layer_backward(
             f"upstream shape {upstream.shape} does not match (batch, j_out, m_out)"
         )
     if cache.grads is None:
-        cache._backward_buffers(layer)
+        cache._backward_buffers()
     n = len(upstream)
     delta = layer.activation.backward(upstream, cache.pre_activation, cache.output, cache.delta)
     delta = delta.reshape(n, -1)
