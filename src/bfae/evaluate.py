@@ -2,9 +2,10 @@
 
 Two task heads are provided: a ridge-penalized functional logistic
 classifier for labeled single-feature curves, and a function-on-function
-ridge regression mapping one set of curves to another.  Both fit on raw
-grids; the ridge strength can be picked by a fixed grid search on a
-validation fifth of the training split.
+ridge regression mapping one set of curves to another.  Both are continuous
+layers fitted exactly on raw grids (a sigmoid layer to one value, a linear
+layer to the output curves); the ridge strength can be picked by a fixed
+grid search on a validation fifth of the training split.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import baselines
 from .data import FunctionalDataset, Standardizer
 from .grids import Grid
-from .layers import Activation, ContinuousLayer, _sigmoid, _surfaces, layer_forward
+from .layers import ContinuousLayer, _sigmoid, init_layer, layer_forward, weigh_input
 from .model import BFAEConfig, build, reconstruction_loss, train
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "flm_classify_fit",
     "flm_classify_predict",
     "classification_error",
-    "FoFRegression",
     "fof_fit",
     "fof_predict",
     "select_ridge",
@@ -52,25 +52,30 @@ def functional_rmse(truth: np.ndarray, estimate: np.ndarray, grid: Grid) -> floa
 
 @dataclass
 class FLMClassifier:
-    """Logistic model on the quadrature inner product with a coefficient curve."""
+    """Logistic model on the quadrature inner product with a coefficient curve.
 
-    grid: Grid
-    alpha: float
-    beta: np.ndarray           # (m,)
+    ``layer`` is a sigmoid layer from one curve to one value: the curve in
+    ``matrix`` and the intercept in ``bias``.
+    """
+
+    layer: ContinuousLayer
     classes: tuple             # (label for p < 0.5, label for p >= 0.5)
     ridge: float
     objective_path: np.ndarray
 
 
-def _as_curve_matrix(curves: np.ndarray) -> np.ndarray:
+# the classifier's output: one value, its point and weight arbitrary
+_ONE_VALUE = Grid(points=np.array([0.0]), quad_weights=np.array([1.0]))
+
+
+def _as_curves(curves: np.ndarray) -> np.ndarray:
+    """Single-feature curves ``(n, m)`` or ``(n, 1, m)`` as ``(n, 1, m)``."""
     curves = np.asarray(curves, dtype=np.float64)
-    if curves.ndim == 3:
-        if curves.shape[1] != 1:
-            raise ValueError("classifier expects single-feature curves")
-        curves = curves[:, 0, :]
-    if curves.ndim != 2:
+    if curves.ndim == 3 and curves.shape[1] != 1:
+        raise ValueError("classifier expects single-feature curves")
+    if curves.ndim not in (2, 3):
         raise ValueError("curves must be (n, m) or (n, 1, m)")
-    return curves
+    return curves.reshape(curves.shape[0], 1, curves.shape[-1])
 
 
 def flm_classify_fit(
@@ -84,7 +89,7 @@ def flm_classify_fit(
     """Maximize the ridge-penalized mean log-likelihood by Newton's method.
 
     The objective is strictly concave in ``(alpha, beta)``, so Newton steps
-    on the design ``[1, x * quad_weights]`` reach its maximum in a handful of
+    on the design ``[1, weigh_input(layer, x)]`` reach its maximum in a handful of
     iterations.  A step is halved while it would decrease the objective, so
     the objective path is nondecreasing.  The fit stops once no gradient
     entry exceeds ``tol`` in size, or when no step along the Newton
@@ -92,17 +97,18 @@ def flm_classify_fit(
     rounding); ``max_iter`` only caps the steps.
     Deterministic: parameters start at zero.
     """
-    x = _as_curve_matrix(curves)
+    x = _as_curves(curves)
     labels = np.asarray(labels)
     classes = sorted(set(labels.tolist()))
     if len(classes) != 2:
         raise ValueError(f"need exactly two classes, got {classes}")
     y = (labels == classes[1]).astype(np.float64)
-    n, m = x.shape
+    n, _, m = x.shape
     if m != len(grid):
         raise ValueError("curve length must match grid")
+    layer = init_layer(grid, _ONE_VALUE, 1, 1, "sigmoid", scheme="zeros")
     # row i dotted with theta = (alpha, beta) is alpha + <x_i, beta>
-    design = np.column_stack((np.ones(n), x * grid.quad_weights))
+    design = np.column_stack((np.ones(n), weigh_input(layer, x)))
     penalty = np.concatenate(([0.0], ridge * grid.quad_weights))  # the intercept is free
 
     def objective(theta):
@@ -130,19 +136,16 @@ def flm_classify_fit(
         theta += step * direction
         current = candidate
         path.append(current)
+    layer.bias[0] = theta[0]
+    layer.matrix[0] = theta[1:]
     return FLMClassifier(
-        grid=grid, alpha=float(theta[0]), beta=theta[1:],
-        classes=tuple(classes), ridge=ridge,
-        objective_path=np.asarray(path),
+        layer=layer, classes=tuple(classes), ridge=ridge, objective_path=np.asarray(path),
     )
 
 
 def flm_classify_predict(model: FLMClassifier, curves: np.ndarray):
     """Returns ``(labels, probabilities)``; label is class 1 when p >= 0.5."""
-    x = _as_curve_matrix(curves)
-    if x.shape[1] != len(model.grid):
-        raise ValueError("curve length must match model grid")
-    p = _sigmoid(model.alpha + (x * model.grid.quad_weights) @ model.beta)
+    p = layer_forward(model.layer, _as_curves(curves))[0].reshape(-1)
     labels = np.where(p >= 0.5, model.classes[1], model.classes[0])
     return labels, p
 
@@ -155,29 +158,19 @@ def classification_error(model: FLMClassifier, curves, labels) -> float:
 # --- function-on-function regression ----------------------------------------------
 
 
-@dataclass
-class FoFRegression:
-    """Affine map from input curves to output curves via coefficient surfaces."""
-
-    in_grid: Grid
-    out_grid: Grid
-    intercepts: np.ndarray     # (r_out, m_out)
-    surfaces: np.ndarray       # (r_out, r_in, m_out, m_in)
-    ridge: float
-
-
 def fof_fit(
     inputs: np.ndarray,
     outputs: np.ndarray,
     in_grid: Grid,
     out_grid: Grid,
     ridge: float = 1e-3,
-) -> FoFRegression:
+) -> ContinuousLayer:
     """Regularized least squares for all output grid points at once.
 
-    The design for sample ``i`` is the flattened ``quad_weights * inputs``
-    vector, so the solved coefficients are the surface values directly; the
-    ridge penalty acts on those values, not the intercept.
+    The regression is one linear continuous layer.  The design for sample
+    ``i`` is its weighted input ``weigh_input(layer, inputs)[i]``, so the
+    solved coefficients are the surface values directly; the ridge penalty
+    acts on those values, not the intercept.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
@@ -191,7 +184,10 @@ def fof_fit(
     _, r_out, m_out = outputs.shape
     if m_in != len(in_grid) or m_out != len(out_grid):
         raise ValueError("curve lengths must match the grids")
-    design = (inputs * in_grid.quad_weights).reshape(n, r_in * m_in)
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
+        raise ValueError("non-finite inputs or outputs")
+    layer = init_layer(in_grid, out_grid, r_in, r_out, "linear", scheme="zeros")
+    design = weigh_input(layer, inputs)
     target = outputs.reshape(n, r_out * m_out)
     x_mean = design.mean(axis=0)
     y_mean = target.mean(axis=0)
@@ -199,22 +195,14 @@ def fof_fit(
     yc = target - y_mean
     gram = xc.T @ xc / n + ridge * np.eye(r_in * m_in)
     coef = np.linalg.solve(gram, xc.T @ yc / n)  # (r_in*m_in, r_out*m_out)
-    intercept = y_mean - x_mean @ coef
-    return FoFRegression(
-        in_grid=in_grid,
-        out_grid=out_grid,
-        intercepts=intercept.reshape(r_out, m_out),
-        surfaces=_surfaces(coef.T, r_out, r_in),
-        ridge=ridge,
-    )
+    layer.matrix[...] = coef.T
+    layer.bias[...] = y_mean - x_mean @ coef
+    return layer
 
 
-def fof_predict(model: FoFRegression, inputs: np.ndarray) -> np.ndarray:
-    """The regression is one linear continuous layer with the fitted surfaces."""
-    layer = ContinuousLayer(
-        model.in_grid, model.out_grid, model.surfaces, model.intercepts, Activation("linear")
-    )
-    return layer_forward(layer, inputs)[0]
+def fof_predict(model: ContinuousLayer, inputs: np.ndarray) -> np.ndarray:
+    """The fitted layer applied to ``(n, r_in, m_in)`` input curves."""
+    return layer_forward(model, inputs)[0]
 
 
 # --- ridge selection ---------------------------------------------------------------

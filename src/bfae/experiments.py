@@ -27,7 +27,7 @@ from .evaluate import (
 )
 from .gp import MaternParams, SimConfig, sample_gp
 from .grids import make_uniform_grid
-from .model import bottleneck_config, build, save_model, train
+from .model import bottleneck_config, build, check_lr, save_model, train
 from .report import BENCHMARK_COLUMNS, PIPELINE_COLUMNS, Report, summarize_benchmark
 from .standins import make_adelaide_standin, make_phoneme_standin
 
@@ -208,7 +208,12 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
 
 
 def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int):
-    """The configured BFAE for ``n_features`` curves on the data's ``grid``."""
+    """The configured BFAE for ``n_features`` curves on the data's ``grid``, which
+    must be uniform: the model lays out a uniform grid over its interval."""
+    uniform = make_uniform_grid(grid.a, grid.b, len(grid)).points
+    if np.max(np.abs(grid.points - uniform)) > 1e-12 * max(grid.span, 1.0):  # Grid's tolerance
+        raise ValueError(f"the data's {len(grid)} points on [{grid.a!r}, {grid.b!r}] are not "
+                         f"evenly spaced; the model needs a uniform data grid")
     b = cfg["bfae"]
     return bottleneck_config(
         n_features=n_features,
@@ -230,7 +235,11 @@ def _methods(cfg: dict, grid, n_features: int, bfae_seed: int, with_none: bool):
     """``(method, reducer, bfae_config)`` for every method a run fits, in report order.
 
     Baselines that mirror an architecture (the dense AE) mirror the plain BFAE.
+    The ``ae`` section is checked here, before any method is fitted.
     """
+    check_lr(cfg["ae"]["lr"])
+    if not cfg["ae"]["epochs"] >= 0:
+        raise ValueError(f"ae.epochs must be >= 0, got {cfg['ae']['epochs']!r}")
     plain = _bfae_config(cfg, grid, n_features, cfg["bfae"]["latent_points"], bfae_seed)
     reduced = _bfae_config(cfg, grid, n_features, cfg["bfae_reduced_points"], bfae_seed)
     names = (["none"] if with_none else []) + [
@@ -440,12 +449,11 @@ def run_realdata(cfg: dict, out_dir):
             test_outputs=demand.subset(te_idx),
         )
         task = "regress"
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     inputs = data.train_inputs
     methods = _methods(cfg, inputs.grid, inputs.n_features, bfae_seed, with_none=True)
     chash = config_hash(cfg)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = Report(columns=PIPELINE_COLUMNS)
     ok = True

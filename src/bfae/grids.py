@@ -50,6 +50,8 @@ class Grid:
                 raise ValueError("quad_weights must be one positive value")
         elif self.quad_weights is None:
             qw = trapezoid_weights(pts)
+            if np.any(qw <= 0):  # half a gap of the smallest subnormal rounds to 0
+                raise ValueError("grid points too close: a trapezoid weight underflows to 0")
         else:
             qw = np.array(self.quad_weights, dtype=np.float64)
             if qw.shape != pts.shape:

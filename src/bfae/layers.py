@@ -57,11 +57,8 @@ class Activation:
             return _sigmoid(z, out)
         return z
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return self.backward(np.ones_like(z), z, self.apply(z), np.empty_like(z))
-
     def backward(self, upstream: np.ndarray, z: np.ndarray, a: np.ndarray, out: np.ndarray):
-        """``upstream * derivative(z)`` into ``out``, given ``a = apply(z)``;
+        """``upstream`` times the derivative at ``z`` into ``out``, given ``a = apply(z)``;
         linear returns ``upstream`` itself."""
         if self.kind == "linear":
             return upstream
@@ -127,9 +124,6 @@ class ContinuousLayer:
         self.biases[...] = b
         qw = self.in_grid.quad_weights
         self.quad = None if np.all(qw == 1.0) else np.tile(qw, j_in)
-
-    def copy(self) -> "ContinuousLayer":
-        return ContinuousLayer(self.in_grid, self.out_grid, self.weights, self.biases, self.activation)
 
 
 def _split(vector: np.ndarray, rows: int):

@@ -186,14 +186,6 @@ class BFAEModel:
     def n_features(self) -> int:
         return self.layers[0].j_in
 
-    def forward(self, x: np.ndarray):
-        """Full reconstruction pass; returns ``(reconstruction, caches)``."""
-        h, caches = self._check_batch(x), []
-        for layer in self.layers:
-            h, cache = layer_forward(layer, h, LayerCache(layer, len(h)))
-            caches.append(cache)
-        return h, caches
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Latent code: output of the layer at ``latent_index``."""
         return self._apply(self.layers[: self.latent_index], x)
@@ -207,14 +199,6 @@ class BFAEModel:
         for layer in layers:
             h = layer_forward(layer, h, LayerCache(layer, len(h)))[0]
         return h
-
-    def copy(self) -> "BFAEModel":
-        return BFAEModel(
-            layers=[lay.copy() for lay in self.layers],
-            latent_index=self.latent_index,
-            config=self.config,
-            trained_epochs=self.trained_epochs,
-        )
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live;
+``pytest -m "not slow"`` runs everything but this suite.
 The desk-scale method-comparison criteria run the same configs as the CLI
 defaults; their replication counts and runtimes are far below the stated
 budgets.
@@ -38,6 +39,8 @@ from bfae.model import (
     train,
 )
 from bfae.standins import make_phoneme_standin
+
+pytestmark = pytest.mark.slow
 
 
 def announce(number: int, title: str, ok: bool, detail: str):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import finite_difference_gradient
+from test_train_reference import reference_derivative
 
 from bfae.baselines import (
     ae_encode,
@@ -195,7 +196,7 @@ def dense_reference(data, widths, activations, lr, epochs, seed):
         losses[epoch] = ((xhat - data) ** 2).sum(axis=1).mean()
         upstream = 2.0 / data.shape[0] * (xhat - data)
         for (w, b), act, (inp, pre) in reversed(list(zip(params, acts, caches))):
-            delta = upstream * act.derivative(pre)
+            delta = upstream * reference_derivative(act, pre)
             upstream = delta @ w
             w -= lr * (delta.T @ inp)
             b -= lr * delta.sum(axis=0)

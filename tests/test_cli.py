@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bfae.cli import main
-from bfae.data import load_csv, save_csv
+from bfae.data import FunctionalDataset, load_csv, save_csv
 from bfae.experiments import (
     KINDS,
     _methods,
@@ -17,7 +17,7 @@ from bfae.experiments import (
     run_train,
 )
 from bfae.gp import SimConfig, sample_gp
-from bfae.grids import make_uniform_grid
+from bfae.grids import Grid, make_uniform_grid
 from bfae.model import load_model
 from bfae.standins import make_adelaide_standin
 
@@ -209,6 +209,36 @@ class TestTrainCommand:
         assert model.config.interval == (0.0, 2.0)
         assert model.data_grid == load_csv(data_path).grid
 
+    @pytest.mark.parametrize("command", ["train", "realdata"])
+    def test_non_uniform_data_grid_is_an_error(self, command, tmp_path):
+        rng = np.random.default_rng(3)
+        grid = Grid(points=np.sort(rng.uniform(0.0, 1.0, 20)))
+        ds = FunctionalDataset(rng.standard_normal((12, 1, 20)), grid, ("signal",),
+                               labels=np.array(["aa", "ao"] * 6))
+        data_path = json.dumps(str(save_csv(ds, tmp_path / "data.csv")))
+        key = "dataset" if command == "train" else "phoneme"
+        with pytest.raises(ValueError, match="20 points .* are not evenly spaced"):
+            main([command, "--kind", "phoneme", "--out", str(tmp_path / "out"),
+                  "--set", f"paths.{key}={data_path}", "--set", "standardize=false",
+                  "--set", "sim.m_points=20", "--set", "bfae.epochs=2"])
+
+
+@pytest.mark.parametrize("command, kind, fast", [
+    ("benchmark", "sim1", FAST_BENCH), ("realdata", "phoneme", FAST_REALDATA),
+], ids=["benchmark", "realdata"])
+@pytest.mark.parametrize("setting, match", [
+    ("ae.lr=NaN", "lr must be finite"), ("ae.epochs=-3", "ae.epochs must be >= 0"),
+], ids=["lr", "epochs"])
+def test_invalid_ae_section_is_an_error_before_any_fit(command, kind, fast, setting, match,
+                                                       tmp_path):
+    # an error raised while fitting would mark a failure cell, not propagate
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        main([command, "--kind", kind, "--out", str(out)] + fast + ["--set", setting])
+    assert not (out / "report.csv").exists()
+    if command == "realdata":  # checked before its output directory is made
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, kind, fast", [
     ("simulate", "sim1", FAST_BENCH), ("train", "sim1", FAST_BENCH),
@@ -289,16 +319,10 @@ class TestBenchmarkCommand:
         assert any(r["method"] == "fpca" and r["metric"] == "functional_rmse" for r in rows)
 
     @pytest.mark.parametrize("key", ["bfae.lr", "ae.lr"])
-    def test_non_finite_lr_is_an_error(self, key, tmp_path, capsys):
-        # a bfae lr stops the run before any fit; an ae lr fails the ae cells
+    def test_non_finite_lr_is_an_error(self, key, tmp_path):
         argv = ["benchmark", "--kind", "sim1", "--out", str(tmp_path / "bench")]
-        argv += FAST_BENCH + ["--set", f"{key}=NaN"]
-        if key == "bfae.lr":
-            with pytest.raises(ValueError, match="lr must be finite"):
-                main(argv)
-        else:
-            assert main(argv) == 1
-            assert "method ae failed: lr must be finite" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="lr must be finite"):
+            main(argv + FAST_BENCH + ["--set", f"{key}=NaN"])
 
     @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
     def test_real_data_kind_is_an_error(self, kind, tmp_path):

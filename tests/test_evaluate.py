@@ -76,18 +76,24 @@ def separable_curves(n, m, seed, scale=4.0):
     return curves[:, None, :], labels, g
 
 
+def fitted_curve(model):
+    """``(alpha, beta)``: the classifier layer's intercept and coefficient curve."""
+    return float(model.layer.bias[0]), model.layer.matrix[0]
+
+
 def penalized_gradient(model, curves, labels, grid):
     """Gradient of the ridge-penalized mean log-likelihood at the fitted
     ``(alpha, beta)``, recomputed one sample at a time."""
     qw = grid.quad_weights
+    alpha, beta = fitted_curve(model)
     g_alpha, g_beta = 0.0, np.zeros(len(grid))
     for curve, label in zip(curves[:, 0, :], labels):
-        z = model.alpha + float(np.sum(qw * curve * model.beta))
+        z = alpha + float(np.sum(qw * curve * beta))
         resid = float(label == model.classes[1]) - 1.0 / (1.0 + math.exp(-z))
         g_alpha += resid
         g_beta += resid * qw * curve
     n = len(labels)
-    return np.concatenate(([g_alpha / n], g_beta / n - model.ridge * qw * model.beta))
+    return np.concatenate(([g_alpha / n], g_beta / n - model.ridge * qw * beta))
 
 
 def gradient_ascent_reference(curves, labels, grid, ridge, tol=1e-12, max_iter=200_000):
@@ -117,8 +123,9 @@ class TestFlmClassifier:
         curves, labels, g = separable_curves(40, 6, seed=15, scale=0.5)
         model = flm_classify_fit(curves, labels, g, ridge=1e-2)
         reference = gradient_ascent_reference(curves, labels, g, ridge=1e-2)
-        np.testing.assert_allclose(model.alpha, reference[0], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(model.beta, reference[1:], rtol=0, atol=1e-9)
+        alpha, beta = fitted_curve(model)
+        np.testing.assert_allclose(alpha, reference[0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(beta, reference[1:], rtol=0, atol=1e-9)
 
     def test_separable_data_at_small_ridge_takes_few_monotone_steps(self):
         curves, labels, g = separable_curves(60, 20, seed=4)
@@ -143,7 +150,7 @@ class TestFlmClassifier:
     def test_zero_model_predicts_half(self):
         curves, labels, g = separable_curves(10, 8, seed=7)
         model = flm_classify_fit(curves, labels, g, ridge=1e-3, max_iter=0)
-        assert model.alpha == 0.0 and not model.beta.any()
+        assert not model.layer.params.any()
         assert model.objective_path.size == 1
         _, p = flm_classify_predict(model, curves)
         np.testing.assert_array_equal(p, 0.5)
@@ -151,7 +158,7 @@ class TestFlmClassifier:
     def test_probability_monotone_in_inner_product(self):
         curves, labels, g = separable_curves(50, 12, seed=8)
         model = flm_classify_fit(curves, labels, g, ridge=1e-3)
-        scores = (curves[:, 0, :] * g.quad_weights) @ model.beta
+        scores = (curves[:, 0, :] * g.quad_weights) @ fitted_curve(model)[1]
         _, p = flm_classify_predict(model, curves)
         order = np.argsort(scores)
         assert np.all(np.diff(p[order]) >= -1e-12)
@@ -167,6 +174,13 @@ class TestFlmClassifier:
         model = flm_classify_fit(curves, labels, g, ridge=1e-3)
         assert np.all(np.diff(model.objective_path) >= 0.0)
 
+    def test_non_finite_curves_rejected(self):
+        curves, labels, g = separable_curves(10, 8, seed=11)
+        model = flm_classify_fit(curves, labels, g)
+        curves[3, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            flm_classify_predict(model, curves)
+
     def test_single_class_rejected(self):
         curves, _, g = separable_curves(10, 8, seed=11)
         with pytest.raises(ValueError, match="two classes"):
@@ -176,7 +190,7 @@ class TestFlmClassifier:
         curves, labels, g = separable_curves(30, 9, seed=12)
         m1 = flm_classify_fit(curves, labels, g)
         m2 = flm_classify_fit(curves, labels, g)
-        np.testing.assert_array_equal(m1.beta, m2.beta)
+        np.testing.assert_array_equal(m1.layer.params, m2.layer.params)
 
 
 class TestFofRegression:
@@ -196,8 +210,8 @@ class TestFofRegression:
     def test_zero_outputs_give_zero_coefficients(self):
         x, _, g = self.make_problem()
         model = fof_fit(x, np.zeros_like(x), g, g, ridge=1e-3)
-        assert np.abs(model.surfaces).max() < 1e-6
-        assert np.abs(model.intercepts).max() < 1e-12
+        assert np.abs(model.weights).max() < 1e-6
+        assert np.abs(model.biases).max() < 1e-12
 
     def test_recovers_known_surface(self):
         x, y, g = self.make_problem(n=80, m=7)
@@ -221,7 +235,7 @@ class TestFofRegression:
     def test_multifeature_shapes(self):
         x, y, g = self.make_problem(n=40, r=3, m=5)
         model = fof_fit(x, y, g, g, ridge=1e-6)
-        assert model.surfaces.shape == (3, 3, 5, 5)
+        assert model.weights.shape == (3, 3, 5, 5)
         assert fof_predict(model, x).shape == (40, 3, 5)
 
 

@@ -51,6 +51,10 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="sum"):
             Grid(points=pts, quad_weights=np.array([1.0, 1.0, 1.0]))
 
+    def test_points_whose_weights_underflow_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            Grid(points=np.array([0.0, 5e-324]))
+
     def test_nonuniform_weights(self):
         g = Grid(points=np.array([0.0, 0.1, 0.4, 1.0]))
         np.testing.assert_allclose(g.quad_weights, [0.05, 0.2, 0.45, 0.3])

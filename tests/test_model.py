@@ -94,8 +94,7 @@ class TestForwardEncode:
         h = x
         for layer in model.layers:
             h, _ = layer_forward(layer, h)
-        out, _ = model.forward(x)
-        np.testing.assert_array_equal(out, h)
+        np.testing.assert_array_equal(model.reconstruct(x), h)
 
     def test_encode_is_forward_intermediate(self):
         cfg = bottleneck_config(2, 8, 1, 5, n_layers=3, seed=4)
@@ -120,7 +119,7 @@ class TestForwardEncode:
     def test_shape_validation(self):
         model = build(bottleneck_config(2, 8, 1, 4))
         with pytest.raises(ValueError, match="batch"):
-            model.forward(np.zeros((3, 2, 9)))
+            model.reconstruct(np.zeros((3, 2, 9)))
 
     def test_two_layer_model_matches_nested_quadrature_oracle(self):
         from test_layers import brute_force_forward

@@ -1,13 +1,6 @@
 """Property tests: ``train`` and ``model_gradients`` equal the per-call
 reference loop of ``test_train_reference`` bit for bit at random shapes,
 activations, momenta and mini-batch sizes.
-
-One case is compared to rounding instead: a one-sample batch through a layer
-whose reference matrix ``_matrix(w)`` is a column-major view (one output
-feature fed by a scalar latent, M'=1).  numpy multiplies a single row by
-gemv, whose accumulation order follows the operand layout, so the
-reference's column-major view and the engine's row-major matrix can round
-differently in the last bit.
 """
 
 import numpy as np
@@ -17,7 +10,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_train_reference import (  # noqa: E402
-    _matrix,
     reference_params,
     reference_step,
     reference_train,
@@ -32,25 +24,6 @@ from bfae.model import (  # noqa: E402
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
-
-
-def assert_same(actual, expected, exact):
-    if exact:
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-14)
-
-
-def bit_for_bit(model, batch_sizes) -> bool:
-    """False when a one-sample batch meets a column-major reference matrix."""
-    # the reference keeps C-ordered copies of the surfaces
-    column_major = any(not _matrix(lay.weights.copy()).flags.c_contiguous for lay in model.layers)
-    return not (column_major and min(batch_sizes) == 1)
-
-
-def batch_sizes(config, n):
-    size = n if config.batch_size is None else min(config.batch_size, n)
-    return [min(size, n - start) for start in range(0, n, size)]
 
 
 @st.composite
@@ -85,12 +58,11 @@ def test_train_matches_reference_loop(problem):
                              config.momentum, config.batch_size)
     # train stops on divergence; the reference does not
     assume(np.all(np.isfinite(losses)) and np.all(losses <= DIVERGENCE_FACTOR * losses[0]))
-    exact = bit_for_bit(model, batch_sizes(config, len(x)))
     history = train(model, x)
-    assert_same(history.losses, losses, exact)
+    np.testing.assert_array_equal(history.losses, losses)
     for lay, (w, b, _, _) in zip(model.layers, params):
-        assert_same(lay.weights, w, exact)
-        assert_same(lay.biases, b, exact)
+        np.testing.assert_array_equal(lay.weights, w)
+        np.testing.assert_array_equal(lay.biases, b)
 
 
 @PROPERTY
@@ -99,9 +71,8 @@ def test_model_gradients_match_reference_pass(problem):
     config, x = problem
     model = build(config)
     ref_loss, ref_grads = reference_step(reference_params(model), x, model.data_grid.quad_weights)
-    exact = bit_for_bit(model, [len(x)])
     loss, grads = model_gradients(model, x)
-    assert_same(loss, ref_loss, exact)
+    assert loss == ref_loss
     for (gw, gb), (rw, rb) in zip(grads, ref_grads):
-        assert_same(gw, rw, exact)
-        assert_same(gb, rb, exact)
+        np.testing.assert_array_equal(gw, rw)
+        np.testing.assert_array_equal(gb, rb)

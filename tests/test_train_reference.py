@@ -16,8 +16,10 @@ from bfae.model import bottleneck_config, build, model_gradients, train
 
 
 def _matrix(w):
+    # C order as in the engine: numpy's single-row products sum in an order
+    # that follows the operand layout
     j_out, j_in, m_out, m_in = w.shape
-    return w.transpose(0, 2, 1, 3).reshape(j_out * m_out, j_in * m_in)
+    return np.ascontiguousarray(w.transpose(0, 2, 1, 3).reshape(j_out * m_out, j_in * m_in))
 
 
 def reference_forward(w, b, qw, act, x):
