@@ -31,7 +31,6 @@ __all__ = [
     "AEModel",
     "ae_widths_from_config",
     "ae_fit",
-    "ae_encode",
     "ae_reconstruct",
 ]
 
@@ -255,10 +254,6 @@ def ae_fit(
         layers=layers, latent_index=int(np.argmin(widths[1:])) + 1, config=settings
     )
     return model, train(model, data[:, None, :])
-
-
-def ae_encode(model: AEModel, data: np.ndarray) -> np.ndarray:
-    return model.encode(np.asarray(data, dtype=np.float64)[:, None, :])[:, 0, :]
 
 
 def ae_reconstruct(model: AEModel, data: np.ndarray) -> np.ndarray:

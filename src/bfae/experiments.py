@@ -215,6 +215,7 @@ def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int
         raise ValueError(f"the data's {len(grid)} points on [{grid.a!r}, {grid.b!r}] are not "
                          f"evenly spaced; the model needs a uniform data grid")
     b = cfg["bfae"]
+    check_lr(b["lr"], "bfae.lr")
     return bottleneck_config(
         n_features=n_features,
         n_points=len(grid),
@@ -237,7 +238,7 @@ def _methods(cfg: dict, grid, n_features: int, bfae_seed: int, with_none: bool):
     Baselines that mirror an architecture (the dense AE) mirror the plain BFAE.
     The ``ae`` section is checked here, before any method is fitted.
     """
-    check_lr(cfg["ae"]["lr"])
+    check_lr(cfg["ae"]["lr"], "ae.lr")
     if not cfg["ae"]["epochs"] >= 0:
         raise ValueError(f"ae.epochs must be >= 0, got {cfg['ae']['epochs']!r}")
     plain = _bfae_config(cfg, grid, n_features, cfg["bfae"]["latent_points"], bfae_seed)
@@ -378,6 +379,8 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
         raise ValueError("benchmark fits raw simulated curves; set standardize=false")
     if reps < 1 or jobs < 1:
         raise ValueError(f"replications and jobs must be >= 1, got {reps} and {jobs}")
+    # every replication's data share one grid: check its methods before making the output
+    _methods(cfg, _sim_config(cfg, 0).grid, cfg["sim"]["n_features"], 0, with_none=False)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, rep) for rep in range(reps)]

@@ -155,6 +155,9 @@ class LayerCache:
     ``step``, which :func:`sgd_step` writes.  ``grad_input`` is made only by
     a backward pass that computes it.  With ``weigh=False`` no buffer for the
     weighted input is made: for a layer whose forward calls are passed it.
+    The hot path's views are made once, not on every call: ``pre_flat`` and
+    ``grad_input_flat``, the ``(batch, -1)`` views of the pre-activation and
+    ``grad_input``, and ``matrix_t``, which is ``layer.matrix.T``.
     """
 
     def __init__(self, layer: ContinuousLayer, batch: int, weigh: bool = True):
@@ -166,6 +169,8 @@ class LayerCache:
         self.weigh_buffer = np.empty((batch, len(layer.quad))) if weigh else None
         self.grads = self.step = self.grad_input = None
         self.pre_activation = np.empty(self.out_shape)
+        self.pre_flat = self.pre_activation.reshape(batch, -1)
+        self.matrix_t = layer.matrix.T
         linear = layer.activation.kind == "linear"
         self.output = self.pre_activation if linear else np.empty_like(self.pre_activation)
 
@@ -204,9 +209,8 @@ def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = Non
     if weighted is None:
         weighted = weigh_input(layer, x, cache.weigh_buffer)
     cache.weighted = weighted
-    pre = cache.pre_activation.reshape(len(x), -1)
-    np.matmul(weighted, layer.matrix.T, out=pre)
-    pre += layer.bias
+    np.matmul(weighted, cache.matrix_t, out=cache.pre_flat)
+    cache.pre_flat += layer.bias
     return layer.activation.apply(cache.pre_activation, out=cache.output), cache
 
 
@@ -242,10 +246,10 @@ def layer_backward(
         return cache.grad_weights, cache.grad_biases, None
     if cache.grad_input is None:
         cache.grad_input = np.empty(cache.in_shape)
-    grad_input = cache.grad_input.reshape(n, -1)
-    np.matmul(delta, layer.matrix, out=grad_input)
+        cache.grad_input_flat = cache.grad_input.reshape(n, -1)
+    np.matmul(delta, layer.matrix, out=cache.grad_input_flat)
     if layer.quad is not None:
-        grad_input *= layer.quad
+        cache.grad_input_flat *= layer.quad
     return cache.grad_weights, cache.grad_biases, cache.grad_input
 
 

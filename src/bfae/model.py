@@ -53,10 +53,10 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
 
 
-def check_lr(lr: float) -> None:
-    """Raise ``ValueError`` unless ``lr`` is finite and ``>= 0``."""
+def check_lr(lr: float, name: str = "lr") -> None:
+    """Raise ``ValueError``, naming the setting ``name``, unless ``lr`` is finite and ``>= 0``."""
     if not (math.isfinite(lr) and lr >= 0):
-        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
+        raise ValueError(f"{name} must be finite and >= 0, got {lr!r}")
 
 
 @dataclass(frozen=True)
@@ -256,27 +256,26 @@ def reconstruction_loss(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> float:
 
 
 def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspaces: dict):
-    """Forward, loss (as in :func:`reconstruction_loss`) and backward of a
-    checked batch ``x``, whose first-layer ``weigh_input`` is ``weighted``,
-    into caches made once per batch size in ``workspaces``; returns
-    ``(loss, caches)``, the caches holding the gradients."""
+    """Forward, loss and backward of a checked batch ``x``, whose first-layer
+    ``weigh_input`` is ``weighted``, into caches made once per batch size in
+    ``workspaces``; returns ``(loss, caches)``, the caches holding the
+    gradients.  The loss is :func:`reconstruction_loss` up to rounding."""
     n = len(x)
     if n not in workspaces:
-        qw = model.data_grid.quad_weights
         # the first layer is passed the data weighted once per fit
         caches = [LayerCache(layer, n, weigh=ell > 0) for ell, layer in enumerate(model.layers)]
-        # residual, its squares, the weights and the loss gradient's scale
-        workspaces[n] = caches, np.empty(x.shape), np.empty(x.shape), qw, (2.0 / n) * qw
-    caches, residual, squares, qw, scale = workspaces[n]
+        # residual, the loss gradient w.r.t. the output and its scale
+        scale = (2.0 / n) * model.data_grid.quad_weights
+        workspaces[n] = caches, np.empty(x.shape), np.empty(x.shape), scale
+    caches, residual, upstream, scale = workspaces[n]
     h = x
     for layer, cache in zip(model.layers, caches):
         h = layer_forward(layer, h, cache, weighted)[0]
         weighted = None
     np.subtract(h, x, out=residual)
-    np.multiply(residual, residual, out=squares)
-    loss = float((squares @ qw).sum(axis=1).sum() / n)  # the bits of ``.mean()``
-    residual *= scale
-    upstream = residual
+    np.multiply(residual, scale, out=upstream)
+    # sum(r * r * q) / n is half of <r, (2 / n) * q * r>, and halving is exact
+    loss = 0.5 * float(np.vdot(residual, upstream))
     for ell in reversed(range(len(caches))):
         # the first layer's input is the data: its gradient would go unused
         upstream = layer_backward(model.layers[ell], caches[ell], upstream, input_grad=ell > 0)[2]

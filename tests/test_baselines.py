@@ -4,7 +4,6 @@ from conftest import finite_difference_gradient
 from test_train_reference import reference_derivative
 
 from bfae.baselines import (
-    ae_encode,
     ae_fit,
     ae_reconstruct,
     ae_widths_from_config,
@@ -227,7 +226,8 @@ class TestDenseAE:
         data = np.random.default_rng(16).standard_normal((5, 6))
         model, _ = ae_fit(data, [6, 8, 6], lr=0.01, epochs=3, seed=6)
         assert model.latent_index == 2
-        np.testing.assert_array_equal(ae_encode(model, data), ae_reconstruct(model, data))
+        np.testing.assert_array_equal(model.encode(data[:, None, :])[:, 0, :],
+                                      ae_reconstruct(model, data))
 
     def test_zero_lr_keeps_model(self):
         rng = np.random.default_rng(11)
@@ -275,7 +275,7 @@ class TestDenseAE:
         rng = np.random.default_rng(14)
         data = rng.standard_normal((10, 6))
         model, _ = ae_fit(data, [6, 2, 6], lr=0.01, epochs=5, seed=4)
-        assert ae_encode(model, data).shape == (10, 2)
+        assert model.encode(data[:, None, :])[:, 0, :].shape == (10, 2)
 
     def test_widths_mirror_bfae_config(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)

@@ -1,7 +1,10 @@
 """Property tests: ``train`` and ``model_gradients`` equal the per-call
 reference loop of ``test_train_reference`` bit for bit at random shapes,
-activations, momenta and mini-batch sizes.
+activations, momenta and mini-batch sizes, and their losses equal
+``reconstruction_loss`` to rounding.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from bfae.model import (  # noqa: E402
     bottleneck_config,
     build,
     model_gradients,
+    reconstruction_loss,
     train,
 )
 
@@ -76,3 +80,17 @@ def test_model_gradients_match_reference_pass(problem):
     for (gw, gb), (rw, rb) in zip(grads, ref_grads):
         np.testing.assert_array_equal(gw, rw)
         np.testing.assert_array_equal(gb, rb)
+
+
+@PROPERTY
+@given(problems(), st.integers(-6, 6))
+def test_losses_equal_reconstruction_loss(problem, decade):
+    # the engine takes the loss from the gradient's residual, in another order of sums
+    config, x = problem
+    x = x * 10.0**decade
+    model = build(replace(config, epochs=1, batch_size=None))
+    expected = reconstruction_loss(x, model.reconstruct(x), model.data_grid)
+    loss, _ = model_gradients(model, x)
+    first = train(model, x).losses[0]
+    assert loss == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert first == pytest.approx(expected, rel=1e-13, abs=0.0)

@@ -68,9 +68,10 @@ def reference_step(params, x, qw, update=None):
         inputs.append(h)
         h, pre = reference_forward(w, b, q, act, h)
         pres.append(pre)
-    d = x - h
-    loss = float(((d * d) @ qw).sum(axis=1).mean())
-    upstream = (2.0 / x.shape[0]) * qw * (h - x)
+    residual = h - x
+    upstream = (2.0 / x.shape[0]) * qw * residual
+    # the engine's loss: half of <r, upstream>, i.e. sum(r * r * q) / n up to rounding
+    loss = 0.5 * float(np.vdot(residual, upstream))
     grads = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
         w, _, q, act = params[i]
