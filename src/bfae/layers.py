@@ -38,7 +38,8 @@ ACTIVATION_KINDS = ("relu", "tanh", "sigmoid", "linear")
 class Activation:
     """Pointwise nonlinearity with a derivative defined everywhere.
 
-    The relu derivative at exactly 0 is taken to be 0.
+    :meth:`backward` needs only the output, so :meth:`apply` may overwrite
+    its input.  The relu derivative at exactly 0 is taken to be 0.
     """
 
     kind: str
@@ -57,13 +58,14 @@ class Activation:
             return _sigmoid(z, out)
         return z
 
-    def backward(self, upstream: np.ndarray, z: np.ndarray, a: np.ndarray, out: np.ndarray):
-        """``upstream`` times the derivative at ``z`` into ``out``, given ``a = apply(z)``;
-        linear returns ``upstream`` itself."""
+    def backward(self, upstream: np.ndarray, a: np.ndarray, out: np.ndarray):
+        """``upstream`` times the derivative at ``z`` into ``out``, taken from the
+        output ``a = apply(z)`` alone; linear returns ``upstream`` itself."""
         if self.kind == "linear":
             return upstream
         if self.kind == "relu":
-            np.greater(z, 0.0, out=out)
+            # max(z, 0) > 0 exactly where z > 0
+            np.greater(a, 0.0, out=out)
         elif self.kind == "tanh":
             np.subtract(1.0, np.multiply(a, a, out=out), out=out)
         else:
@@ -149,15 +151,20 @@ class LayerCache:
     shapes it expects (``in_shape``, ``out_shape``).
 
     :func:`layer_forward` keeps the raw ``input`` and the ``weighted`` input
-    and writes the pre-activation and activation; the first backward pass
-    makes ``grads`` (laid out like ``layer.params``, with ``grad_matrix``,
-    ``grad_bias``, ``grad_weights`` and ``grad_biases`` as views) and
-    ``step``, which :func:`sgd_step` writes.  ``grad_input`` is made only by
-    a backward pass that computes it.  With ``weigh=False`` no buffer for the
-    weighted input is made: for a layer whose forward calls are passed it.
-    The hot path's views are made once, not on every call: ``pre_flat`` and
-    ``grad_input_flat``, the ``(batch, -1)`` views of the pre-activation and
-    ``grad_input``, and ``matrix_t``, which is ``layer.matrix.T``.
+    and writes ``output``: the pre-activation, which the activation then
+    overwrites (``out_flat`` is its ``(batch, -1)`` view).  With ``weigh=False``
+    no buffer for the weighted input is made: for a layer whose forward calls
+    are passed it.  ``matrix_t`` is ``layer.matrix.T``, made once.
+
+    The first backward pass makes ``grads`` (laid out like ``layer.params``,
+    with ``grad_matrix``, ``grad_bias``, ``grad_weights`` and ``grad_biases``
+    as views), ``step``, which :func:`sgd_step` writes, ``delta`` for a
+    non-linear layer, and ``quad_tile``, ``layer.quad`` repeated over the
+    batch, for a cache that weighs its input: from then on the weighing and
+    the input gradient's quadrature multiply are one flat loop each.
+    ``grad_input`` (with its ``(batch, -1)`` view ``grad_input_flat``) is made
+    only by a backward pass that computes it.  A forward-only cache makes
+    none of these.
     """
 
     def __init__(self, layer: ContinuousLayer, batch: int, weigh: bool = True):
@@ -167,16 +174,19 @@ class LayerCache:
         self.input = self.weighted = None
         weigh = weigh and layer.quad is not None
         self.weigh_buffer = np.empty((batch, len(layer.quad))) if weigh else None
-        self.grads = self.step = self.grad_input = None
-        self.pre_activation = np.empty(self.out_shape)
-        self.pre_flat = self.pre_activation.reshape(batch, -1)
+        self.grads = self.step = self.grad_input = self.quad_tile = None
+        self.output = np.empty(self.out_shape)
+        self.out_flat = self.output.reshape(batch, -1)
         self.matrix_t = layer.matrix.T
-        linear = layer.activation.kind == "linear"
-        self.output = self.pre_activation if linear else np.empty_like(self.pre_activation)
 
     def _backward_buffers(self):
         layer = self.layer
-        self.delta = None if self.output is self.pre_activation else np.empty_like(self.output)
+        if self.weigh_buffer is not None:
+            # filled by broadcast: np.tile's temporaries would raise the peak
+            self.quad_tile = np.empty_like(self.weigh_buffer)
+            self.quad_tile[...] = layer.quad
+        linear = layer.activation.kind == "linear"
+        self.delta = None if linear else np.empty_like(self.output)
         self.grads, self.step = np.empty_like(layer.params), np.empty_like(layer.params)
         self.grad_matrix, self.grad_bias = _split(self.grads, len(layer.bias))
         self.grad_weights = _surfaces(self.grad_matrix, layer.j_out, layer.j_in)
@@ -206,12 +216,15 @@ def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = Non
     elif x.shape != cache.in_shape:
         raise ValueError(f"input shape {x.shape} does not match the cache")
     cache.input = x
-    if weighted is None:
+    if weighted is None and cache.quad_tile is not None:
+        flat = x.reshape(cache.quad_tile.shape)
+        weighted = np.multiply(flat, cache.quad_tile, out=cache.weigh_buffer)
+    elif weighted is None:
         weighted = weigh_input(layer, x, cache.weigh_buffer)
     cache.weighted = weighted
-    np.matmul(weighted, cache.matrix_t, out=cache.pre_flat)
-    cache.pre_flat += layer.bias
-    return layer.activation.apply(cache.pre_activation, out=cache.output), cache
+    np.matmul(weighted, cache.matrix_t, out=cache.out_flat)
+    cache.out_flat += layer.bias
+    return layer.activation.apply(cache.output, out=cache.output), cache
 
 
 def layer_backward(
@@ -238,7 +251,7 @@ def layer_backward(
     if cache.grads is None:
         cache._backward_buffers()
     n = len(upstream)
-    delta = layer.activation.backward(upstream, cache.pre_activation, cache.output, cache.delta)
+    delta = layer.activation.backward(upstream, cache.output, cache.delta)
     delta = delta.reshape(n, -1)
     np.add.reduce(delta, axis=0, out=cache.grad_bias)
     np.matmul(delta.T, cache.weighted, out=cache.grad_matrix)
@@ -248,7 +261,9 @@ def layer_backward(
         cache.grad_input = np.empty(cache.in_shape)
         cache.grad_input_flat = cache.grad_input.reshape(n, -1)
     np.matmul(delta, layer.matrix, out=cache.grad_input_flat)
-    if layer.quad is not None:
+    if cache.quad_tile is not None:
+        cache.grad_input_flat *= cache.quad_tile
+    elif layer.quad is not None:
         cache.grad_input_flat *= layer.quad
     return cache.grad_weights, cache.grad_biases, cache.grad_input
 

@@ -264,9 +264,14 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
     if n not in workspaces:
         # the first layer is passed the data weighted once per fit
         caches = [LayerCache(layer, n, weigh=ell > 0) for ell, layer in enumerate(model.layers)]
-        # residual, the loss gradient w.r.t. the output and its scale
-        scale = (2.0 / n) * model.data_grid.quad_weights
-        workspaces[n] = caches, np.empty(x.shape), np.empty(x.shape), scale
+        # the residual overwrites a linear output, which backward does not read
+        linear = model.layers[-1].activation.kind == "linear"
+        residual = caches[-1].output if linear else np.empty(x.shape)
+        # the loss gradient w.r.t. the output, and its scale (2 / n) q tiled to
+        # the batch, so that their multiply is one flat loop
+        scale = np.empty(x.shape)
+        scale[...] = (2.0 / n) * model.data_grid.quad_weights
+        workspaces[n] = caches, residual, np.empty(x.shape), scale
     caches, residual, upstream, scale = workspaces[n]
     h = x
     for layer, cache in zip(model.layers, caches):

@@ -10,6 +10,7 @@ from bfae.layers import (
     layer_backward,
     layer_forward,
     sgd_step,
+    weigh_input,
 )
 
 
@@ -43,7 +44,7 @@ def random_layer(j_in, j_out, m_in, m_out, kind, seed):
 
 def derivative(act, z):
     """The activation's derivative at ``z``: its backward pass of a ones upstream."""
-    return act.backward(np.ones_like(z), z, act.apply(z), np.empty_like(z))
+    return act.backward(np.ones_like(z), act.apply(z), np.empty_like(z))
 
 
 class TestActivation:
@@ -76,6 +77,29 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             Activation("softplus")
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "linear"])
+    def test_derivative_from_the_output_equals_the_formula_from_z(self, kind):
+        # the derivative at z, computed from the output alone and with the
+        # activation written over z, has the same bits as the formula from z
+        tiny, big = 1e-300, 800.0  # big: the sigmoid saturates to 0 and 1
+        z = np.concatenate(([0.0, -0.0, tiny, -tiny, big, -big, 5e-324, 40.0, -40.0],
+                            np.random.default_rng(41).standard_normal(40) * 4.0))
+        upstream = np.random.default_rng(42).standard_normal(z.shape)
+        act = Activation(kind)
+        a = act.apply(z.copy())
+        if kind == "relu":
+            from_z = (z > 0).astype(np.float64)
+        elif kind == "tanh":
+            from_z = 1.0 - a * a
+        elif kind == "sigmoid":
+            from_z = a * (1.0 - a)
+        else:
+            from_z = np.ones_like(z)
+        in_place = z.copy()
+        assert act.apply(in_place, out=in_place).tobytes() == a.tobytes()
+        got = act.backward(upstream, in_place, np.empty_like(z))
+        assert got.tobytes() == (from_z * upstream).tobytes()
 
 
 class TestLayerForward:
@@ -176,6 +200,25 @@ class TestLayerBackward:
         # the same cache can still give the input gradient later
         np.testing.assert_array_equal(layer_backward(layer, cache, upstream)[2], gx)
 
+    def test_only_a_weighing_cache_tiles_the_quadrature_in_backward(self):
+        layer = random_layer(2, 3, 5, 4, "tanh", seed=25)
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((6, 2, 5))
+        upstream = rng.standard_normal((6, 3, 4))
+        out, cache = layer_forward(layer, x)
+        out = out.copy()
+        assert cache.quad_tile is None  # a forward-only cache holds no tile
+        gx = layer_backward(layer, cache, upstream)[2].copy()
+        assert cache.quad_tile.shape == (6, 10)
+        np.testing.assert_array_equal(cache.quad_tile, np.broadcast_to(layer.quad, (6, 10)))
+        # the tiled multiplies give the same bits as the broadcast ones
+        assert layer_forward(layer, x, cache)[0].tobytes() == out.tobytes()
+        assert layer_backward(layer, cache, upstream)[2].tobytes() == gx.tobytes()
+        passed = LayerCache(layer, 6, weigh=False)
+        layer_forward(layer, x, passed, weighted=weigh_input(layer, x))
+        assert layer_backward(layer, passed, upstream)[2].tobytes() == gx.tobytes()
+        assert passed.quad_tile is None
+
     @pytest.mark.parametrize("kind", ["linear", "tanh", "sigmoid"])
     def test_gradients_match_finite_differences(self, kind):
         layer = random_layer(2, 2, 7, 7, kind, seed=21)
@@ -227,7 +270,8 @@ class TestLayerBackward:
         x = rng.standard_normal((2, 1, 5))
         _, cache = layer_forward(layer, x)
         # keep pre-activations away from 0 so finite differences are valid
-        assert np.abs(cache.pre_activation).min() > 1e-3
+        pre = weigh_input(layer, x) @ layer.matrix.T + layer.bias
+        assert np.abs(pre).min() > 1e-3
         upstream = rng.standard_normal((2, 1, 5))
         gw, _, _ = layer_backward(layer, cache, upstream)
         eps = 1e-6

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,20 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match=r"at epoch \d.*initial loss.*reduce lr"):
             train(model, x)
         assert model.trained_epochs <= 5
+
+    @pytest.mark.parametrize("latent_points, bound", [(150, 10.5), (30, 5.5)])
+    def test_peak_memory_in_data_sized_buffers(self, latent_points, bound):
+        # phoneme-shaped fit: the workspace of an epoch holds about ten (1x150
+        # latent) or five (1x30) buffers the size of the data, parameters included
+        x = np.random.default_rng(19).standard_normal((640, 1, 150))
+        model = build(bottleneck_config(1, 150, 1, latent_points, lr=0.01, epochs=3, seed=20))
+        tracemalloc.start()
+        try:
+            train(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.nbytes <= bound
 
     def test_reconstruct_deterministic(self):
         cfg = bottleneck_config(1, 8, 1, 4, seed=17)

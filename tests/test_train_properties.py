@@ -1,7 +1,9 @@
 """Property tests: ``train`` and ``model_gradients`` equal the per-call
 reference loop of ``test_train_reference`` bit for bit at random shapes,
 activations, momenta and mini-batch sizes, and their losses equal
-``reconstruction_loss`` to rounding.
+``reconstruction_loss`` to rounding; ``ae_fit`` equals the plain matrix
+algebra of ``test_baselines.dense_reference`` at random widths and
+activations, non-linear output layers included.
 """
 
 from dataclasses import replace
@@ -12,12 +14,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_baselines import dense_reference  # noqa: E402
 from test_train_reference import (  # noqa: E402
     reference_params,
     reference_step,
     reference_train,
 )
 
+from bfae.baselines import ae_fit, ae_reconstruct  # noqa: E402
+from bfae.layers import ACTIVATION_KINDS  # noqa: E402
 from bfae.model import (  # noqa: E402
     DIVERGENCE_FACTOR,
     bottleneck_config,
@@ -94,3 +99,33 @@ def test_losses_equal_reconstruction_loss(problem, decade):
     first = train(model, x).losses[0]
     assert loss == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert first == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@st.composite
+def dense_problems(draw):
+    """``(data, widths, activations, lr, epochs, seed)`` for ``ae_fit``."""
+    d = draw(st.integers(1, 6))
+    n_layers = draw(st.integers(2, 4))
+    widths = [d] + [draw(st.integers(1, 6)) for _ in range(n_layers - 1)] + [d]
+    activations = [draw(st.sampled_from(ACTIVATION_KINDS)) for _ in range(n_layers)]
+    n = draw(st.integers(1, 10))
+    data = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, d))
+    return (data, widths, activations, draw(st.floats(0.001, 0.1)), draw(st.integers(1, 15)),
+            draw(st.integers(0, 2**16)))
+
+
+@PROPERTY
+@given(dense_problems())
+def test_ae_fit_matches_dense_reference(problem):
+    # a non-linear output layer keeps its own residual buffer; a linear one
+    # takes the residual into its output
+    data, widths, activations, lr, epochs, seed = problem
+    params, losses, forward = dense_reference(data, widths, activations, lr, epochs, seed)
+    # ae_fit stops on divergence; the reference does not
+    assume(np.all(np.isfinite(losses)) and np.all(losses <= DIVERGENCE_FACTOR * losses[0]))
+    model, history = ae_fit(data, widths, activations, lr=lr, epochs=epochs, seed=seed)
+    for layer, (w, b) in zip(model.layers, params):
+        np.testing.assert_array_equal(layer.weights, w.reshape(1, 1, *w.shape))
+        np.testing.assert_array_equal(layer.biases, b[None, :])
+    np.testing.assert_array_equal(ae_reconstruct(model, data), forward(data))
+    np.testing.assert_allclose(history.losses, losses, rtol=1e-12, atol=0.0)
