@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, grid_tolerance
 from .report import Report
 
 __all__ = [
@@ -189,7 +189,7 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
         raise FileNotFoundError(f"grid sidecar not found: {side}")
     meta = json.loads(side.read_text(encoding="utf-8"))
     grid = Grid(points=np.asarray(meta["points"], dtype=np.float64))
-    interval, tol = meta.get("interval"), 1e-12 * max(grid.span, 1.0)  # Grid's weight tolerance
+    interval, tol = meta.get("interval"), grid_tolerance(grid.span)
     if np.shape(interval) != (2,) or not np.allclose(interval, (grid.a, grid.b), rtol=0, atol=tol):
         raise ValueError(f"{side}: interval {interval} does not match the points' range "
                          f"[{grid.a!r}, {grid.b!r}]")

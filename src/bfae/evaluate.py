@@ -106,6 +106,8 @@ def flm_classify_fit(
     n, _, m = x.shape
     if m != len(grid):
         raise ValueError("curve length must match grid")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite curves")
     layer = init_layer(grid, _ONE_VALUE, 1, 1, "sigmoid", scheme="zeros")
     # row i dotted with theta = (alpha, beta) is alpha + <x_i, beta>
     design = np.column_stack((np.ones(n), weigh_input(layer, x)))
@@ -172,32 +174,48 @@ def fof_fit(
     solved coefficients are the surface values directly; the ridge penalty
     acts on those values, not the intercept.
     """
+    return _fof_solver(inputs, outputs, in_grid, out_grid)(ridge)
+
+
+def _fof_solver(inputs, outputs, in_grid: Grid, out_grid: Grid):
+    """Check a regression's data and build its centred normal equations once;
+    returns ``solve(ridge)``, which solves them for one ridge as a layer."""
     inputs = np.asarray(inputs, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
     if inputs.ndim != 3 or outputs.ndim != 3 or inputs.shape[0] != outputs.shape[0]:
         raise ValueError("inputs and outputs must be (n, r, m) with equal n")
     if inputs.shape[0] < 2:
         raise ValueError("need more than one sample")
-    if ridge <= 0:
-        raise ValueError("ridge must be > 0 (the normal equations are singular otherwise)")
     n, r_in, m_in = inputs.shape
     _, r_out, m_out = outputs.shape
     if m_in != len(in_grid) or m_out != len(out_grid):
         raise ValueError("curve lengths must match the grids")
     if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
         raise ValueError("non-finite inputs or outputs")
-    layer = init_layer(in_grid, out_grid, r_in, r_out, "linear", scheme="zeros")
-    design = weigh_input(layer, inputs)
+    # the weighted design, centred in place
+    blank = init_layer(in_grid, out_grid, r_in, r_out, "linear", scheme="zeros")
+    xc = weigh_input(blank, inputs)
+    if blank.quad is None:  # unit weights weigh nothing: centre a copy, not the inputs
+        xc = xc.copy()
+    del blank  # its parameters are the size of a solution: freed before the products
+    x_mean = xc.mean(axis=0)
+    xc -= x_mean
     target = outputs.reshape(n, r_out * m_out)
-    x_mean = design.mean(axis=0)
     y_mean = target.mean(axis=0)
-    xc = design - x_mean
-    yc = target - y_mean
-    gram = xc.T @ xc / n + ridge * np.eye(r_in * m_in)
-    coef = np.linalg.solve(gram, xc.T @ yc / n)  # (r_in*m_in, r_out*m_out)
-    layer.matrix[...] = coef.T
-    layer.bias[...] = y_mean - x_mean @ coef
-    return layer
+    # only these four outlive the call: the centred data are freed on return
+    gram, cross = xc.T @ xc / n, xc.T @ (target - y_mean) / n
+
+    def solve(ridge: float) -> ContinuousLayer:
+        if ridge <= 0:
+            raise ValueError("ridge must be > 0 (the normal equations are singular otherwise)")
+        layer = init_layer(in_grid, out_grid, r_in, r_out, "linear", scheme="zeros")
+        # coef is (r_in*m_in, r_out*m_out)
+        coef = np.linalg.solve(gram + ridge * np.eye(r_in * m_in), cross)
+        layer.matrix[...] = coef.T
+        layer.bias[...] = y_mean - x_mean @ coef
+        return layer
+
+    return solve
 
 
 def fof_predict(model: ContinuousLayer, inputs: np.ndarray) -> np.ndarray:
@@ -209,24 +227,27 @@ def fof_predict(model: ContinuousLayer, inputs: np.ndarray) -> np.ndarray:
 
 
 def select_ridge(
-    fit_and_score,
+    score_split,
     n_train: int,
     seed: int = 0,
     grid=RIDGE_GRID,
 ) -> float:
     """Pick the ridge with the best score on a validation fifth of the train split.
 
-    ``fit_and_score(train_idx, val_idx, ridge)`` must return a score where
-    smaller is better.  Ties go to the larger ridge.
+    ``score_split(train_idx, val_idx)`` is called once and must return a
+    function mapping a ridge to a score where smaller is better, so that what
+    it builds from the split is shared by every ridge and freed on return.
+    Ties go to the larger ridge.
     """
     order = np.random.default_rng(seed).permutation(n_train)
     n_val = max(1, n_train // 5)
     val_idx, train_idx = order[:n_val], order[n_val:]
+    score = score_split(train_idx, val_idx)
     best = None
     for ridge in grid:
-        score = fit_and_score(train_idx, val_idx, ridge)
-        if best is None or score <= best[0]:
-            best = (score, ridge)
+        value = score(ridge)
+        if best is None or value <= best[0]:
+            best = (value, ridge)
     return best[1]
 
 
@@ -326,6 +347,8 @@ def evaluate_pipeline(reducer: str, task: str, data: PipelineData, config: Pipel
             lambda x, y, rg: flm_classify_fit(x, y, grid, ridge=rg),
             classification_error,
         )
+        # the fit of one ridge to (x, y): nothing to share between ridges
+        fit_ridges = lambda x, y: lambda rg: fit(x, y, rg)
     elif task == "regress":
         if data.train_outputs is None or data.test_outputs is None:
             raise ValueError("regression task needs paired output datasets")
@@ -335,6 +358,8 @@ def evaluate_pipeline(reducer: str, task: str, data: PipelineData, config: Pipel
             lambda x, y, rg: fof_fit(x, y, grid, out_grid, ridge=rg),
             lambda model, x, y: functional_rmse(y, fof_predict(model, x), out_grid),
         )
+        # one build of the normal equations of (x, y), then one solve per ridge
+        fit_ridges = lambda x, y: _fof_solver(x, y, grid, out_grid)
     else:
         raise ValueError("task must be 'classify' or 'regress'")
 
@@ -356,10 +381,11 @@ def evaluate_pipeline(reducer: str, task: str, data: PipelineData, config: Pipel
 
     ridge = config.ridge
     if ridge is None:
-        def score(tr_idx, va_idx, rg):
-            model = fit(train_rec[tr_idx], y_train[tr_idx], rg)
-            return error(model, train_rec[va_idx], y_train[va_idx])
-        ridge = select_ridge(score, train_rec.shape[0], seed=config.seed)
+        def score_split(tr_idx, va_idx):
+            fit_ridge = fit_ridges(train_rec[tr_idx], y_train[tr_idx])
+            x_val, y_val = train_rec[va_idx], y_train[va_idx]
+            return lambda rg: error(fit_ridge(rg), x_val, y_val)
+        ridge = select_ridge(score_split, train_rec.shape[0], seed=config.seed)
     model = fit(train_rec, y_train, ridge)
     return [
         {"split": "train", "metric": "reconstruction_rmse",

@@ -26,7 +26,7 @@ from .evaluate import (
     functional_rmse,
 )
 from .gp import MaternParams, SimConfig, sample_gp
-from .grids import make_uniform_grid
+from .grids import grid_tolerance, make_uniform_grid
 from .model import bottleneck_config, build, check_lr, save_model, train
 from .report import BENCHMARK_COLUMNS, PIPELINE_COLUMNS, Report, summarize_benchmark
 from .standins import make_adelaide_standin, make_phoneme_standin
@@ -211,7 +211,7 @@ def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int
     """The configured BFAE for ``n_features`` curves on the data's ``grid``, which
     must be uniform: the model lays out a uniform grid over its interval."""
     uniform = make_uniform_grid(grid.a, grid.b, len(grid)).points
-    if np.max(np.abs(grid.points - uniform)) > 1e-12 * max(grid.span, 1.0):  # Grid's tolerance
+    if np.max(np.abs(grid.points - uniform)) > grid_tolerance(grid.span):
         raise ValueError(f"the data's {len(grid)} points on [{grid.a!r}, {grid.b!r}] are not "
                          f"evenly spaced; the model needs a uniform data grid")
     b = cfg["bfae"]

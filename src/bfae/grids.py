@@ -15,11 +15,20 @@ import numpy as np
 
 __all__ = [
     "Grid",
+    "grid_tolerance",
     "make_uniform_grid",
     "integrate",
     "inner_product",
     "linear_resample",
 ]
+
+
+def grid_tolerance(span: float) -> float:
+    """The slack of every check on a grid of length ``span``: how far its
+    quadrature weights may sum from ``span``, and its points or interval ends
+    may sit from where they should; ``1e-12`` relative, absolute below a
+    unit span."""
+    return 1e-12 * max(span, 1.0)
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class Grid:
             if np.any(qw <= 0):
                 raise ValueError("quad_weights must all be positive")
             span = pts[-1] - pts[0]
-            if abs(qw.sum() - span) > 1e-12 * max(span, 1.0):
+            if abs(qw.sum() - span) > grid_tolerance(span):
                 raise ValueError("quad_weights must sum to the interval length")
         pts.flags.writeable = False
         qw.flags.writeable = False

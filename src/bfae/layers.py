@@ -154,7 +154,11 @@ class LayerCache:
     and writes ``output``: the pre-activation, which the activation then
     overwrites (``out_flat`` is its ``(batch, -1)`` view).  With ``weigh=False``
     no buffer for the weighted input is made: for a layer whose forward calls
-    are passed it.  ``matrix_t`` is ``layer.matrix.T``, made once.
+    are passed it.  ``weighted @ matrix_t`` is the pre-activation without
+    bias: ``matrix_t`` is ``layer.matrix.T``, made once, unless a forward-only
+    caller replaces it by the kernel weighed by ``layer.quad`` (transposed)
+    and passes the raw input as ``weighted``, as ``BFAEModel._apply`` does for
+    a batch taller than the kernel; such a cache must not go backward.
 
     The first backward pass makes ``grads`` (laid out like ``layer.params``,
     with ``grad_matrix``, ``grad_bias``, ``grad_weights`` and ``grad_biases``

@@ -194,10 +194,20 @@ class BFAEModel:
         return self._apply(self.layers, x)
 
     def _apply(self, layers, x: np.ndarray) -> np.ndarray:
-        # keeps no caches: a layer's buffers are freed once the next layer ran
+        # Forward only: a layer's cache is freed once the next layer ran and
+        # never reaches layer_backward.  A batch taller than a weighing layer's
+        # kernel leaves the batch unweighed and meets the weighed kernel
+        # (W * q).T instead, which makes fewer products and no batch-sized
+        # buffer; x (W * q).T and (x q) W.T differ in the last digits.
         h = self._check_batch(x)
         for layer in layers:
-            h = layer_forward(layer, h, LayerCache(layer, len(h)))[0]
+            n = len(h)
+            if layer.quad is None or n <= len(layer.bias):
+                h = layer_forward(layer, h, LayerCache(layer, n))[0]
+            else:
+                cache = LayerCache(layer, n, weigh=False)
+                cache.matrix_t = (layer.matrix * layer.quad).T
+                h = layer_forward(layer, h, cache, h.reshape(n, -1))[0]
         return h
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:

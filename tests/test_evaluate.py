@@ -5,6 +5,7 @@ import pytest
 
 from bfae.data import FunctionalDataset
 from bfae.evaluate import (
+    RIDGE_GRID,
     PipelineConfig,
     PipelineData,
     classification_error,
@@ -16,9 +17,10 @@ from bfae.evaluate import (
     fof_predict,
     functional_rmse,
     select_ridge,
+    _fof_solver,
 )
 from bfae.gp import SimConfig, sample_gp
-from bfae.grids import make_uniform_grid
+from bfae.grids import Grid, make_uniform_grid
 from bfae.model import bottleneck_config
 
 
@@ -181,6 +183,13 @@ class TestFlmClassifier:
         with pytest.raises(ValueError, match="non-finite"):
             flm_classify_predict(model, curves)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_rejects_non_finite_curves(self, bad):
+        curves, labels, g = separable_curves(10, 8, seed=11)
+        curves[3, 0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            flm_classify_fit(curves, labels, g)
+
     def test_single_class_rejected(self):
         curves, _, g = separable_curves(10, 8, seed=11)
         with pytest.raises(ValueError, match="two classes"):
@@ -238,16 +247,60 @@ class TestFofRegression:
         assert model.weights.shape == (3, 3, 5, 5)
         assert fof_predict(model, x).shape == (40, 3, 5)
 
+    @staticmethod
+    def reference_fit(inputs, outputs, in_grid, out_grid, ridge):
+        """The one-ridge solve written out: weigh, centre, solve the normal equations."""
+        design = (inputs * in_grid.quad_weights).reshape(len(inputs), -1)
+        target = outputs.reshape(len(outputs), -1)
+        x_mean, y_mean = design.mean(axis=0), target.mean(axis=0)
+        xc, yc = design - x_mean, target - y_mean
+        gram = xc.T @ xc / len(xc) + ridge * np.eye(xc.shape[1])
+        coef = np.linalg.solve(gram, xc.T @ yc / len(xc))
+        return coef.T, y_mean - x_mean @ coef
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_shared_equations_equal_a_fit_per_ridge(self, r):
+        x, y, g = self.make_problem(n=50, r=r, m=6, noise=0.3)
+        x_before, y_before = x.copy(), y.copy()
+        solve = _fof_solver(x, y, g, g)  # one build, shared by every ridge
+        for ridge in RIDGE_GRID:
+            shared = solve(ridge)
+            alone = fof_fit(x, y, g, g, ridge=ridge)
+            np.testing.assert_array_equal(shared.params, alone.params)
+            matrix, bias = self.reference_fit(x, y, g, g, ridge)
+            np.testing.assert_array_equal(alone.matrix, matrix)
+            np.testing.assert_array_equal(alone.bias, bias)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_unit_weights_leave_the_inputs_alone(self):
+        # with every quadrature weight 1 the design is the inputs themselves
+        g = Grid(points=np.arange(5.0), quad_weights=np.full(5, 0.8))
+        unit = Grid(points=np.linspace(0.0, 5.0, 5), quad_weights=np.ones(5))
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((30, 2, 5)), rng.standard_normal((30, 1, 5))
+        x_before = x.copy()
+        model = fof_fit(x, y, unit, g, ridge=1e-3)
+        np.testing.assert_array_equal(x, x_before)
+        matrix, bias = self.reference_fit(x, y, unit, g, 1e-3)
+        np.testing.assert_array_equal(model.matrix, matrix)
+        np.testing.assert_array_equal(model.bias, bias)
+
 
 class TestSelectRidge:
     def test_picks_known_best(self):
-        calls = []
+        splits, calls = [], []
 
-        def score(tr, va, ridge):
-            calls.append(ridge)
-            return abs(np.log10(ridge) + 3)  # best at 1e-3
+        def score_split(tr, va):
+            splits.append((len(tr), len(va)))
 
-        assert select_ridge(score, n_train=50, seed=0) == 1e-3
+            def score(ridge):
+                calls.append(ridge)
+                return abs(np.log10(ridge) + 3)  # best at 1e-3
+            return score
+
+        assert select_ridge(score_split, n_train=50, seed=0) == 1e-3
+        assert splits == [(40, 10)]  # one split, shared by every ridge
         assert calls == list((1e-5, 1e-4, 1e-3, 1e-2, 1e-1))
 
 

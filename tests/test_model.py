@@ -293,6 +293,108 @@ class TestTrain:
         np.testing.assert_array_equal(model.reconstruct(x), model.reconstruct(x))
 
 
+def shipped_models():
+    """A model of each shipped shape: every kind, plain and reduced latent."""
+    from bfae.experiments import default_config
+    from bfae.standins import DAY_NAMES
+
+    for kind, r in (("sim1", None), ("sim10", None), ("phoneme", 1), ("adelaide", len(DAY_NAMES))):
+        cfg = default_config(kind)
+        r = cfg["sim"]["n_features"] if r is None else r
+        for points in (cfg["bfae"]["latent_points"], cfg["bfae_reduced_points"]):
+            config = bottleneck_config(r, cfg["sim"]["m_points"], cfg["bfae"]["latent_features"],
+                                       points, seed=points)
+            model = build(config)
+            rng = np.random.default_rng(points)
+            for layer in model.layers:
+                layer.biases[...] = rng.normal(scale=0.1, size=layer.biases.shape)
+            yield f"{kind}.{points}", model
+
+
+def einsum_forward(layers, x):
+    """Quadrature oracle: ``act(b + sum_jt w q x)`` layer by layer, by einsum."""
+    h = x
+    for layer in layers:
+        pre = np.einsum("rjst,t,ijt->irs", layer.weights, layer.in_grid.quad_weights, h)
+        h = layer.activation.apply(pre + layer.biases)
+    return h
+
+
+def batch_weighed(layers, x):
+    """Each layer through ``layer_forward`` without a cache, which weighs the batch."""
+    for layer in layers:
+        x = layer_forward(layer, x)[0]
+    return x
+
+
+def relative(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+class TestForwardWeighing:
+    """``encode``/``reconstruct`` weigh the kernel, not the batch, for a batch
+    taller than a weighing layer's kernel, and otherwise the batch."""
+
+    @staticmethod
+    def dense_ae():
+        from bfae.baselines import ae_fit
+
+        data = np.random.default_rng(2).standard_normal((4, 12))
+        return ae_fit(data, [12, 3, 12], epochs=0, seed=1)[0]
+
+    @pytest.mark.parametrize("which", ["bfae", "ae"])
+    @pytest.mark.parametrize("n", [1, 4, 12, 13, 200])
+    def test_never_write_or_return_the_callers_array(self, which, n):
+        # kernels of 4 and 24 rows (bfae) and of 3 and 12 (dense AE)
+        if which == "bfae":
+            model = build(bottleneck_config(2, 12, 1, 4, seed=7))
+        else:
+            model = self.dense_ae()
+        x = np.random.default_rng(n).standard_normal((n, model.n_features, len(model.data_grid)))
+        before = x.copy()
+        x.flags.writeable = False
+        for out in (model.encode(x), model.reconstruct(x)):
+            assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_shipped_shapes_match_the_batch_weighed_path_and_the_oracle(self):
+        x_rng = np.random.default_rng(11)
+        for name, model in shipped_models():
+            x = x_rng.standard_normal((1024, model.n_features, len(model.data_grid)))
+            assert 1024 > max(len(layer.bias) for layer in model.layers), name
+            for layers, out in ((model.layers[: model.latent_index], model.encode(x)),
+                                (model.layers, model.reconstruct(x))):
+                assert relative(out, batch_weighed(layers, x)) <= 1e-13, name
+                assert relative(out, einsum_forward(layers, x)) <= 1e-13, name
+
+    def test_batches_no_taller_than_the_kernel_are_bit_for_bit_batch_weighed(self):
+        for name, model in shipped_models():
+            rows = len(model.layers[0].bias)
+            x = np.random.default_rng(rows).standard_normal(
+                (rows, model.n_features, len(model.data_grid)))
+            encoder = model.layers[: model.latent_index]
+            for n in {1, rows}:
+                np.testing.assert_array_equal(model.encode(x[:n]), batch_weighed(encoder, x[:n]))
+            # one row taller: the kernel is weighed, to rounding
+            x = np.concatenate((x, x[:1]))
+            assert relative(model.encode(x), batch_weighed(encoder, x)) <= 1e-13, name
+
+    def test_tall_batch_reconstruct_holds_no_batch_sized_weighing_buffer(self):
+        # phoneme-shaped: 1x150 curves through a 1x150 latent.  Each layer holds
+        # its input and its output, both the size of the data, plus a 150x150
+        # kernel (0.15 of the data); weighing the batch would add a third
+        # (measured peaks: 2.20 data sizes, 3.06 when the batch is weighed)
+        x = np.random.default_rng(21).standard_normal((1024, 1, 150))
+        model = build(bottleneck_config(1, 150, 1, 150, seed=22))
+        tracemalloc.start()
+        try:
+            model.reconstruct(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.nbytes <= 2.5
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = bottleneck_config(2, 10, 1, 4, lr=1.5, epochs=40, seed=19)

@@ -102,11 +102,18 @@ def test_protocol_runs_call_every_wrapped_name(kind, monkeypatch, tmp_path):
 
 
 def test_reloaded_model_calls_every_wrapped_name(monkeypatch, tmp_path):
+    # kernels of 4 (encoder) and 16 (decoder) rows: 3 curves weigh the batch
+    # in every layer, 20 curves weigh the kernel in every layer
     config = bmodel.bottleneck_config(2, 8, 1, 4, seed=5)
     path = bmodel.save_model(bmodel.build(config), tmp_path / "m.json")
     calls = wrap_points(monkeypatch, POINTS["encode"])
     model = bmodel.load_model(path)
-    curves = gp.sample_gp(gp.SimConfig(n_samples=3, n_features=2, grid=model.data_grid)).values
-    assert model.encode(curves).shape == (3, 1, 4)
-    assert np.all(np.isfinite(model.reconstruct(curves)))
+    assert [len(layer.bias) for layer in model.layers] == [4, 16]
+    for n in (3, 20):
+        curves = gp.sample_gp(gp.SimConfig(n_samples=n, n_features=2, grid=model.data_grid)).values
+        forward = calls["bfae.model.layer_forward"]
+        assert model.encode(curves).shape == (n, 1, 4)
+        assert np.all(np.isfinite(model.reconstruct(curves)))
+        # each layer goes through the traced layer_forward once per call
+        assert calls["bfae.model.layer_forward"] - forward == 1 + 2
     assert [key for key, count in calls.items() if count == 0] == []
