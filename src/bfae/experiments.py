@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from pathlib import Path
 
@@ -385,6 +384,9 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, rep) for rep in range(reps)]
     if jobs > 1:
+        # imported here: multiprocessing is not worth its import for jobs=1
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_benchmark_replication, tasks))
     else:

@@ -154,7 +154,8 @@ def linear_resample(values: np.ndarray, from_grid: Grid, to_grid: Grid) -> np.nd
         raise ValueError("values length must match source grid")
     lo, hi = from_grid.a, from_grid.b
     tgt = to_grid.points
-    if tgt[0] < lo - 1e-12 or tgt[-1] > hi + 1e-12:
+    tol = grid_tolerance(from_grid.span)
+    if tgt[0] < lo - tol or tgt[-1] > hi + tol:
         raise ValueError(
             f"target points [{tgt[0]}, {tgt[-1]}] outside source interval [{lo}, {hi}]"
         )

@@ -24,6 +24,9 @@ from .layers import (
     Activation,
     ContinuousLayer,
     LayerCache,
+    _batch_multiplier,
+    _TrainingCache,
+    check_lr,
     init_layer,
     layer_backward,
     layer_forward,
@@ -51,12 +54,6 @@ DIVERGENCE_FACTOR = 1e6
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
-
-
-def check_lr(lr: float, name: str = "lr") -> None:
-    """Raise ``ValueError``, naming the setting ``name``, unless ``lr`` is finite and ``>= 0``."""
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {lr!r}")
 
 
 @dataclass(frozen=True)
@@ -265,35 +262,49 @@ def reconstruction_loss(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> float:
     return float(((d * d) @ grid.quad_weights).sum(axis=1).mean())
 
 
-def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspaces: dict):
+def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspaces: dict,
+                   lr: float = None, momentum: float = 0.0, velocity: list = None):
     """Forward, loss and backward of a checked batch ``x``, whose first-layer
-    ``weigh_input`` is ``weighted``, into caches made once per batch size in
-    ``workspaces``; returns ``(loss, caches)``, the caches holding the
-    gradients.  The loss is :func:`reconstruction_loss` up to rounding."""
+    ``weigh_input`` is ``weighted``, into a training workspace made once per
+    batch size in ``workspaces``; returns ``(loss, caches)``.  Without ``lr``
+    the caches hold the gradients.  With ``lr`` each layer takes its step by
+    :func:`sgd_step` right after its backward pass, which has already formed
+    the input gradient from the old matrix; with ``velocity`` (one vector per
+    layer) the step is along ``velocity = momentum * velocity + grads``.  The
+    loss is :func:`reconstruction_loss` up to rounding."""
     n = len(x)
     if n not in workspaces:
         # the first layer is passed the data weighted once per fit
-        caches = [LayerCache(layer, n, weigh=ell > 0) for ell, layer in enumerate(model.layers)]
+        caches = [_TrainingCache(layer, n, weigh=ell > 0) for ell, layer in enumerate(model.layers)]
         # the residual overwrites a linear output, which backward does not read
         linear = model.layers[-1].activation.kind == "linear"
         residual = caches[-1].output if linear else np.empty(x.shape)
-        # the loss gradient w.r.t. the output, and its scale (2 / n) q tiled to
-        # the batch, so that their multiply is one flat loop
-        scale = np.empty(x.shape)
-        scale[...] = (2.0 / n) * model.data_grid.quad_weights
-        workspaces[n] = caches, residual, np.empty(x.shape), scale
-    caches, residual, upstream, scale = workspaces[n]
+        upstream = np.empty(x.shape)
+        # the loss gradient w.r.t. the output is the residual times (2 / n) q,
+        # multiplied over (n, J*M) views: never broadcast over the M axis
+        scale = np.tile((2.0 / n) * model.data_grid.quad_weights, x.shape[1])
+        workspaces[n] = (caches, residual, upstream, residual.reshape(n, -1),
+                         upstream.reshape(n, -1), _batch_multiplier(scale, n))
+    caches, residual, upstream, residual_flat, upstream_flat, scale = workspaces[n]
     h = x
     for layer, cache in zip(model.layers, caches):
         h = layer_forward(layer, h, cache, weighted)[0]
         weighted = None
     np.subtract(h, x, out=residual)
-    np.multiply(residual, scale, out=upstream)
+    np.multiply(residual_flat, scale, out=upstream_flat)
     # sum(r * r * q) / n is half of <r, (2 / n) * q * r>, and halving is exact
     loss = 0.5 * float(np.vdot(residual, upstream))
     for ell in reversed(range(len(caches))):
+        layer, cache = model.layers[ell], caches[ell]
         # the first layer's input is the data: its gradient would go unused
-        upstream = layer_backward(model.layers[ell], caches[ell], upstream, input_grad=ell > 0)[2]
+        upstream = layer_backward(layer, cache, upstream, input_grad=ell > 0)[2]
+        if lr is not None:
+            grads = cache.grads
+            if velocity is not None:
+                grads = velocity[ell]
+                grads *= momentum
+                grads += cache.grads
+            sgd_step(layer, grads, lr, cache)
     return loss, caches
 
 
@@ -330,15 +341,8 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for xb, wb in batches:
-            batch_loss, caches = _gradient_pass(model, xb, wb, workspaces)
+            batch_loss = _gradient_pass(model, xb, wb, workspaces, lr, momentum, velocity)[0]
             epoch_loss += batch_loss * xb.shape[0]
-            for i, (layer, cache) in enumerate(zip(model.layers, caches)):
-                grads = cache.grads
-                if velocity is not None:
-                    grads = velocity[i]
-                    grads *= momentum
-                    grads += cache.grads
-                sgd_step(layer, grads, lr, cache)
         epoch_loss /= n
         losses[epoch] = epoch_loss
         if not (math.isfinite(epoch_loss) and epoch_loss <= DIVERGENCE_FACTOR * losses[0]):

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bfae
 from bfae.cli import main
 from bfae.data import FunctionalDataset, load_csv, save_csv
 from bfae.experiments import (
@@ -259,6 +264,16 @@ def test_jobs_one_is_accepted_outside_benchmark(tmp_path):
     assert main(["simulate", "--kind", "sim1", "--out", str(out), "--jobs", "1",
                  "--set", "sim.n_samples=4", "--set", "sim.m_points=5"]) == 0
     assert (out / "sim1_dataset.csv").exists()
+
+
+def test_importing_experiments_leaves_the_process_pool_out():
+    # the pool and its multiprocessing import are paid only by --jobs > 1
+    code = ("import sys, bfae.experiments; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bfae.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBenchmarkCommand:

@@ -167,3 +167,14 @@ class TestLinearResample:
         tgt = make_uniform_grid(-0.5, 0.5, 5)
         with pytest.raises(ValueError, match="outside"):
             linear_resample(np.ones(5), src, tgt)
+
+    @pytest.mark.parametrize("past, accepted", [(5e-11, True), (1e-9, False)])
+    def test_interval_check_scales_with_the_span(self, past, accepted):
+        # grid_tolerance(100) is 1e-10: an end 5e-11 past is rounding, 1e-9 past is not
+        src = make_uniform_grid(0, 100, 5)
+        tgt = Grid(points=np.array([0.0, 50.0, 100.0 + past]))
+        if accepted:
+            np.testing.assert_array_equal(linear_resample(src.points, src, tgt), [0.0, 50.0, 100.0])
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                linear_resample(src.points, src, tgt)

@@ -3,6 +3,7 @@ import pytest
 
 from bfae.grids import Grid, inner_product, make_uniform_grid
 from bfae.layers import (
+    TILE_BELOW,
     Activation,
     ContinuousLayer,
     LayerCache,
@@ -200,6 +201,24 @@ class TestLayerBackward:
         # the same cache can still give the input gradient later
         np.testing.assert_array_equal(layer_backward(layer, cache, upstream)[2], gx)
 
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    def test_a_callers_cache_keeps_its_values(self, kind):
+        # only a training workspace writes over its output, weighed input and gradients
+        layer = random_layer(2, 3, 5, 4, kind, seed=29)
+        rng = np.random.default_rng(30)
+        x, upstream = rng.standard_normal((6, 2, 5)), rng.standard_normal((6, 3, 4))
+        out, cache = layer_forward(layer, x)
+        kept = out.copy()
+        first = [g.copy() for g in layer_backward(layer, cache, upstream)]
+        second = layer_backward(layer, cache, upstream)
+        assert [g.tobytes() for g in second] == [g.tobytes() for g in first]
+        grads = cache.grads.copy()
+        sgd_step(layer, cache.grads, lr=0.1, cache=cache)
+        assert cache.grads.tobytes() == grads.tobytes()
+        assert out.tobytes() == kept.tobytes()
+        gw, gb, _ = layer_backward(layer, cache, upstream)
+        assert gw.tobytes() == first[0].tobytes() and gb.tobytes() == first[1].tobytes()
+
     def test_only_a_weighing_cache_tiles_the_quadrature_in_backward(self):
         layer = random_layer(2, 3, 5, 4, "tanh", seed=25)
         rng = np.random.default_rng(26)
@@ -207,17 +226,30 @@ class TestLayerBackward:
         upstream = rng.standard_normal((6, 3, 4))
         out, cache = layer_forward(layer, x)
         out = out.copy()
-        assert cache.quad_tile is None  # a forward-only cache holds no tile
+        assert cache.quad_factor is None  # a forward-only cache holds no tile
         gx = layer_backward(layer, cache, upstream)[2].copy()
-        assert cache.quad_tile.shape == (6, 10)
-        np.testing.assert_array_equal(cache.quad_tile, np.broadcast_to(layer.quad, (6, 10)))
+        assert cache.quad_factor.shape == (6, 10)
+        np.testing.assert_array_equal(cache.quad_factor, np.broadcast_to(layer.quad, (6, 10)))
         # the tiled multiplies give the same bits as the broadcast ones
         assert layer_forward(layer, x, cache)[0].tobytes() == out.tobytes()
         assert layer_backward(layer, cache, upstream)[2].tobytes() == gx.tobytes()
         passed = LayerCache(layer, 6, weigh=False)
         layer_forward(layer, x, passed, weighted=weigh_input(layer, x))
         assert layer_backward(layer, passed, upstream)[2].tobytes() == gx.tobytes()
-        assert passed.quad_tile is None
+        assert passed.quad_factor is None
+
+    def test_a_long_row_is_weighed_by_the_broadcast_row(self):
+        # j_in * m_in = 2 * 64 = TILE_BELOW: the quadrature row itself, no tile
+        layer = random_layer(2, 1, 64, 4, "linear", seed=27)
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((5, 2, 64))
+        upstream = rng.standard_normal((5, 1, 4))
+        out, cache = layer_forward(layer, x)
+        gx = layer_backward(layer, cache, upstream)[2]
+        assert 2 * 64 == TILE_BELOW and cache.quad_factor is layer.quad
+        assert layer_forward(layer, x, cache)[0].tobytes() == out.tobytes()
+        np.testing.assert_array_equal(gx, (upstream.reshape(5, -1) @ layer.matrix).reshape(x.shape)
+                                      * layer.in_grid.quad_weights)
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "sigmoid"])
     def test_gradients_match_finite_differences(self, kind):
@@ -465,6 +497,14 @@ class TestSgdStep:
         sgd_step(pair, (gw.copy(), gb.copy()), lr=0.3)
         sgd_step(vector, cache.grads, lr=0.3, cache=cache)
         assert pair.params.tobytes() == vector.params.tobytes()
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan, -0.1])
+    def test_lr_must_be_finite_and_non_negative(self, lr):
+        layer = random_layer(1, 2, 4, 4, "tanh", seed=69)
+        params = layer.params.copy()
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            sgd_step(layer, np.ones_like(params), lr=lr)
+        assert layer.params.tobytes() == params.tobytes()
 
     def test_shape_mismatch(self):
         layer = random_layer(1, 1, 3, 3, "linear", seed=64)

@@ -129,6 +129,11 @@ CASES = {
                                  epochs=60)),
     "ragged_minibatches": ((11, 2, 6), dict(latent_features=1, latent_points=3, lr=0.5,
                                             batch_size=4, epochs=30)),
+    "deep_sigmoid_momentum_minibatches": ((9, 2, 6), dict(latent_features=2, latent_points=3,
+                                                          n_layers=3, hidden="sigmoid", lr=0.5,
+                                                          momentum=0.5, batch_size=4, epochs=30)),
+    # rows of 2 x 70 curve values: the quadrature multipliers are broadcast rows, not tiles
+    "long_rows": ((6, 2, 70), dict(latent_features=2, latent_points=70, lr=0.02, epochs=10)),
 }
 
 
