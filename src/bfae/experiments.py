@@ -319,7 +319,10 @@ def run_train(cfg: dict, out_dir) -> list:
     model_path = save_model(model, out_dir / "model.json")
     history_path = out_dir / "history.csv"
     Report(("epoch", "loss"), list(enumerate(history.losses))).write_csv(history_path)
-    print(f"final loss {history.losses[-1]:.6g} (initial {history.losses[0]:.6g})")
+    if len(history.losses):
+        print(f"final loss {history.losses[-1]:.6g} (initial {history.losses[0]:.6g})")
+    else:
+        print("0 epochs: wrote the untrained model")
     return [model_path, history_path]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import finite_difference_gradient
-from test_train_reference import reference_derivative
+from test_train_reference import assert_near, on_dual_side, reference_derivative
 
 from bfae.baselines import (
     ae_fit,
@@ -166,10 +166,13 @@ class TestFPCA:
             fpca_fit(np.ones((5, 1, 6)), self.grid(6))
 
 
-def dense_reference(data, widths, activations, lr, epochs, seed):
+def dense_reference(data, widths, activations, lr, epochs, seed, dual=False):
     """The dense AE as plain matrix algebra: Glorot-uniform weights drawn layer
     by layer from one generator, zero biases, then full-batch gradient descent
-    on the mean squared reconstruction error.
+    on the mean squared reconstruction error.  With ``dual`` the first layer
+    is ``W0 + C.T X``, ``b0 + C.sum(0)`` over the data ``X``: its pre-activation
+    is ``(X X.T + 1) C + (X W0.T + b0)``, it steps ``C``, and ``C`` goes into
+    its parameters after the last epoch.
 
     Returns ``(params, losses, forward)`` with ``params`` a list of
     ``[weights (out, in), biases (out,)]`` and ``forward(x)`` the network output.
@@ -180,25 +183,36 @@ def dense_reference(data, widths, activations, lr, epochs, seed):
         c = np.sqrt(6.0 / (fan_in + fan_out))
         params.append([rng.uniform(-c, c, size=(fan_out, fan_in)), np.zeros(fan_out)])
     acts = [Activation(a) for a in activations]
+    w0, b0 = params[0]
+    gram, base = data @ data.T + 1.0, data @ w0.T + b0
+    coef = np.zeros_like(base)
 
-    def forward(x):
+    def forward(x, first=None):
+        # ``first``: the first layer's pre-activation, when it is given
         caches, h = [], x
-        for (w, b), act in zip(params, acts):
-            pre = h @ w.T + b
+        for ell, ((w, b), act) in enumerate(zip(params, acts)):
+            pre = first if ell == 0 and first is not None else h @ w.T + b
             caches.append((h, pre))
             h = act.apply(pre)
         return h, caches
 
     losses = np.empty(epochs)
     for epoch in range(epochs):
-        xhat, caches = forward(data)
+        xhat, caches = forward(data, gram @ coef + base if dual else None)
         losses[epoch] = ((xhat - data) ** 2).sum(axis=1).mean()
         upstream = 2.0 / data.shape[0] * (xhat - data)
-        for (w, b), act, (inp, pre) in reversed(list(zip(params, acts, caches))):
+        for ell in reversed(range(len(params))):
+            (w, b), act, (inp, pre) = params[ell], acts[ell], caches[ell]
             delta = upstream * reference_derivative(act, pre)
             upstream = delta @ w
-            w -= lr * (delta.T @ inp)
-            b -= lr * delta.sum(axis=0)
+            if dual and ell == 0:
+                coef -= lr * delta
+            else:
+                w -= lr * (delta.T @ inp)
+                b -= lr * delta.sum(axis=0)
+    if dual and epochs:
+        w0 += coef.T @ data
+        b0 += coef.sum(axis=0)
     return params, losses, lambda x: forward(x)[0]
 
 
@@ -213,14 +227,20 @@ class TestDenseAE:
         ],
     )
     def test_matches_dense_reference(self, widths, activations):
+        # 12 rows: 6-wide data is primal (12 = 2 * 6), 8-wide data dual
         data = np.random.default_rng(15).standard_normal((12, widths[0]))
+        dual = on_dual_side(*data.shape)
         model, history = ae_fit(data, widths, activations, lr=0.03, epochs=60, seed=5)
-        params, losses, forward = dense_reference(data, widths, activations, 0.03, 60, 5)
+        params, losses, forward = dense_reference(data, widths, activations, 0.03, 60, 5, dual)
         for layer, (w, b) in zip(model.layers, params):
             np.testing.assert_array_equal(layer.weights, w.reshape(1, 1, *w.shape))
             np.testing.assert_array_equal(layer.biases, b[None, :])
         np.testing.assert_array_equal(ae_reconstruct(model, data), forward(data))
         np.testing.assert_allclose(history.losses, losses, rtol=1e-12, atol=0.0)
+        primal, _, _ = dense_reference(data, widths, activations, 0.03, 60, 5)
+        for layer, (w, b) in zip(model.layers, primal):
+            assert_near(layer.weights[0, 0], w)
+            assert_near(layer.biases[0], b)
 
     def test_narrowest_output_layer_encodes_to_reconstruction(self):
         data = np.random.default_rng(16).standard_normal((5, 6))

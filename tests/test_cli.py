@@ -165,6 +165,16 @@ class TestTrainCommand:
         model = load_model(out / "model.json")
         assert model.trained_epochs == 25
 
+    def test_zero_epochs_write_the_untrained_model(self, tmp_path, capsys):
+        out = tmp_path / "train"
+        code = main(["train", "--kind", "sim1", "--out", str(out),
+                     "--set", "sim.n_samples=10", "--set", "sim.m_points=9",
+                     "--set", "bfae.epochs=0", "--set", "bfae.latent_points=9"])
+        assert code == 0
+        assert "0 epochs" in capsys.readouterr().out
+        assert (out / "history.csv").read_text().splitlines() == ["epoch,loss"]
+        assert load_model(out / "model.json").trained_epochs == 0
+
     def test_trains_from_named_dataset(self, tmp_path):
         sim_out = tmp_path / "data"
         main(["simulate", "--kind", "sim1", "--out", str(sim_out),

@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import finite_difference_gradient
+from test_train_reference import (
+    assert_near_primal,
+    assert_same_parameters,
+    reference_dual_train,
+    reference_params,
+    reference_train,
+)
 
+from bfae.baselines import ae_fit
 from bfae.grids import make_uniform_grid
 from bfae.layers import layer_forward
 from bfae.model import (
@@ -268,19 +276,75 @@ class TestTrain:
         grid = make_uniform_grid(0, 1, 50)
         x = sample_gp(SimConfig(n_samples=80, n_features=1, grid=grid, seed=0)).values
         model = build(bottleneck_config(1, 50, 1, 10, lr=1e4, epochs=100, seed=3))
+        dual, primal = reference_params(model), reference_params(model)
         with pytest.raises(TrainingDiverged, match=r"at epoch \d.*initial loss.*reduce lr"):
             train(model, x)
         assert model.trained_epochs <= 5
+        # 80 curves of 50 values: the first layer is dual, and its coefficients
+        # are in params after the raise, which follows the diverging epoch's step
+        epochs, qw = model.trained_epochs + 1, model.data_grid.quad_weights
+        losses = reference_dual_train(dual, x, qw, 1e4, epochs)
+        assert_same_parameters(model, dual)
+        assert_near_primal(model, losses, (reference_train(primal, x, qw, 1e4, epochs), primal))
+
+    def test_an_interrupt_folds_the_dual_layer(self, monkeypatch):
+        # stopped in the 4th epoch's decoder forward: 3 whole epochs are in params
+        from bfae import model as bmodel
+
+        model = build(bottleneck_config(2, 9, 1, 4, lr=0.3, momentum=0.5, epochs=10, seed=25))
+        x = np.random.default_rng(26).standard_normal((6, 2, 9))
+        params = reference_params(model)
+        calls, forward = [], bmodel.layer_forward
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(bmodel, "layer_forward", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(model, x)
+        assert model.trained_epochs == 3
+        reference_dual_train(params, x, model.data_grid.quad_weights, 0.3, 3, momentum=0.5)
+        assert_same_parameters(model, params)
+
+    def test_no_epochs_leave_the_parameters_alone(self):
+        # a full batch on the dual side, biases with signed zeros
+        model = build(bottleneck_config(2, 9, 1, 4, lr=0.1, epochs=0, seed=21))
+        for layer in model.layers:
+            layer.bias[::2] = -0.0
+        before = [layer.params.tobytes() for layer in model.layers]
+        history = train(model, np.random.default_rng(22).standard_normal((6, 2, 9)))
+        assert history.losses.shape == (0,) and model.trained_epochs == 0
+        assert [layer.params.tobytes() for layer in model.layers] == before
+
+    @pytest.mark.parametrize("hidden", ["linear", "tanh", "dense"])
+    def test_the_callers_curves_are_never_written(self, hidden):
+        # dual side with momentum; the dense AE's weighed data is the caller's array
+        x = np.random.default_rng(23).standard_normal((6, 1, 9))
+        kept = x.copy()
+        if hidden == "dense":
+            ae_fit(x[:, 0], [9, 3, 9], lr=0.05, epochs=4, seed=24)
+        else:
+            cfg = bottleneck_config(1, 9, 1, 4, hidden=hidden, lr=0.1, momentum=0.5, epochs=4)
+            train(build(cfg), x)
+        np.testing.assert_array_equal(x, kept)
 
     @pytest.mark.parametrize("shape, latent, bound", [
-        ((640, 1, 150), (1, 150), 5.7), ((640, 1, 150), (1, 30), 3.9), ((400, 7, 48), (4, 48), 5.3),
+        ((640, 1, 150), (1, 150), 5.7), ((640, 1, 150), (1, 30), 3.9), ((400, 7, 48), (4, 48), 6.2),
     ], ids=["phoneme-1x150", "phoneme-1x30", "adelaide-4x48"])
     def test_peak_memory_in_data_sized_buffers(self, shape, latent, bound):
         # the workspace holds only live values: the weighed data, one output
         # per layer (tanh writes delta over it), the decoder's weighed input
         # (its input gradient goes over it), the loss gradient and the
-        # parameter gradients (the step goes over them); measured 5.57, 3.79
-        # and 5.17 data sizes, parameters included
+        # parameter gradients (the step goes over them); measured 5.57 and
+        # 3.79 data sizes, parameters included.  400 curves of 336 values keep
+        # the first layer in dual form: no weighed data and no first-layer
+        # gradients, but the Gram G (400 x 400, 1.19 data sizes), the base P,
+        # the coefficients C and the first layer's output (400 x 192 each,
+        # 0.57), then the decoder's output, weighed input, gradients and the
+        # loss gradient as above; measured 6.03
         x = np.random.default_rng(19).standard_normal(shape)
         model = build(bottleneck_config(shape[1], shape[2], *latent, lr=0.01, epochs=3, seed=20))
         tracemalloc.start()

@@ -117,3 +117,22 @@ def test_reloaded_model_calls_every_wrapped_name(monkeypatch, tmp_path):
         # each layer goes through the traced layer_forward once per call
         assert calls["bfae.model.layer_forward"] - forward == 1 + 2
     assert [key for key, count in calls.items() if count == 0] == []
+
+
+@pytest.mark.parametrize("n, r, m, dual", [
+    (80, 1, 50, True),     # sim1's training split
+    (100, 1, 50, False),   # bfae train --kind sim1: 100 = 2 * 50 curve values
+    (80, 10, 50, True),    # sim10
+    (400, 7, 48, True),    # adelaide
+    (640, 1, 150, False),  # phoneme
+])
+def test_training_calls_the_wrapped_layer_names_once_per_epoch(n, r, m, dual, monkeypatch):
+    # a dual first layer runs inside train, so only the layers after it are traced
+    epochs = 2
+    config = bmodel.bottleneck_config(r, m, 1, 4, n_layers=3, lr=1e-3, epochs=epochs, seed=6)
+    x = np.random.default_rng(7).standard_normal((n, r, m))
+    names = ["layer_forward", "layer_backward", "sgd_step"]
+    calls = wrap_points(monkeypatch, [(bmodel, name) for name in names])
+    bmodel.train(bmodel.build(config), x)
+    traced = epochs * (config.n_layers - dual)
+    assert calls == {f"bfae.model.{name}": traced for name in names}

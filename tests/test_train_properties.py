@@ -1,9 +1,11 @@
 """Property tests: ``train`` and ``model_gradients`` equal the per-call
 reference loop of ``test_train_reference`` bit for bit at random shapes,
-activations, momenta and mini-batch sizes, and their losses equal
-``reconstruction_loss`` to rounding; ``ae_fit`` equals the plain matrix
-algebra of ``test_baselines.dense_reference`` at random widths and
-activations, non-linear output layers included.
+activations, momenta and mini-batch sizes (the dual loop where ``train``
+keeps the first layer in dual form, and the primal loop within
+``DUAL_RTOL`` there), and their losses equal ``reconstruction_loss`` to
+rounding; ``ae_fit`` equals the plain matrix algebra of
+``test_baselines.dense_reference`` at random widths and activations,
+non-linear output layers included.
 """
 
 from dataclasses import replace
@@ -16,9 +18,13 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_baselines import dense_reference  # noqa: E402
 from test_train_reference import (  # noqa: E402
+    assert_near,
+    assert_near_primal,
+    assert_same_parameters,
+    on_dual_side,
+    reference_fits,
     reference_params,
     reference_step,
-    reference_train,
 )
 
 from bfae.baselines import ae_fit, ae_reconstruct  # noqa: E402
@@ -62,16 +68,14 @@ def problems(draw):
 def test_train_matches_reference_loop(problem):
     config, x = problem
     model = build(config)
-    params = reference_params(model)
-    losses = reference_train(params, x, model.data_grid.quad_weights, config.lr, config.epochs,
-                             config.momentum, config.batch_size)
+    (losses, params), primal = reference_fits(model, x, config.lr, config.epochs,
+                                              config.momentum, config.batch_size)
     # train stops on divergence; the reference does not
     assume(np.all(np.isfinite(losses)) and np.all(losses <= DIVERGENCE_FACTOR * losses[0]))
     history = train(model, x)
     np.testing.assert_array_equal(history.losses, losses)
-    for lay, (w, b, _, _) in zip(model.layers, params):
-        np.testing.assert_array_equal(lay.weights, w)
-        np.testing.assert_array_equal(lay.biases, b)
+    assert_same_parameters(model, params)
+    assert_near_primal(model, history.losses, primal)
 
 
 @PROPERTY
@@ -120,7 +124,8 @@ def test_ae_fit_matches_dense_reference(problem):
     # a non-linear output layer keeps its own residual buffer; a linear one
     # takes the residual into its output
     data, widths, activations, lr, epochs, seed = problem
-    params, losses, forward = dense_reference(data, widths, activations, lr, epochs, seed)
+    dual = on_dual_side(*data.shape)
+    params, losses, forward = dense_reference(data, widths, activations, lr, epochs, seed, dual)
     # ae_fit stops on divergence; the reference does not
     assume(np.all(np.isfinite(losses)) and np.all(losses <= DIVERGENCE_FACTOR * losses[0]))
     model, history = ae_fit(data, widths, activations, lr=lr, epochs=epochs, seed=seed)
@@ -129,3 +134,8 @@ def test_ae_fit_matches_dense_reference(problem):
         np.testing.assert_array_equal(layer.biases, b[None, :])
     np.testing.assert_array_equal(ae_reconstruct(model, data), forward(data))
     np.testing.assert_allclose(history.losses, losses, rtol=1e-12, atol=0.0)
+    if dual:
+        for layer, (w, b) in zip(model.layers, dense_reference(data, widths, activations, lr,
+                                                               epochs, seed)[0]):
+            assert_near(layer.weights[0, 0], w)
+            assert_near(layer.biases[0], b)

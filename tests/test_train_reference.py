@@ -6,13 +6,22 @@ weight matrix on every call, allocates every intermediate and updates each
 layer right after its backward pass.  The training loop stores the
 parameters as matrices and writes into preallocated buffers; the floating
 point operations are the same, so the results must be identical.
+
+A full-batch fit shorter than ``DUAL_BELOW`` times the data's row trains its
+first layer in dual form; it equals the written-out dual loop
+(:func:`reference_dual_train`) bit for bit, and the primal loop to
+``DUAL_RTOL`` of the largest parameter of each layer.
 """
 
 import numpy as np
 import pytest
 
 from bfae.baselines import ae_fit
-from bfae.model import bottleneck_config, build, model_gradients, train
+from bfae.model import DUAL_BELOW, bottleneck_config, build, model_gradients, train
+
+# dual against primal parameters, relative to each array's largest value: the
+# cases here and in test_train_properties differ by at most 3.2e-15 (measured)
+DUAL_RTOL = 1e-12
 
 
 def _matrix(w):
@@ -82,13 +91,9 @@ def reference_step(params, x, qw, update=None):
     return loss, grads
 
 
-def reference_train(params, x, qw, lr, epochs, momentum=0.0, batch_size=None):
-    n = x.shape[0]
+def reference_update(params, lr, momentum):
+    """``update(i, gw, gb)``: layer i's step, along its velocity with momentum."""
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _, _ in params]
-    if batch_size is None or batch_size >= n:
-        batches = [slice(0, n)]
-    else:
-        batches = [slice(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
 
     def update(i, gw, gb):
         if momentum > 0:
@@ -101,6 +106,17 @@ def reference_train(params, x, qw, lr, epochs, momentum=0.0, batch_size=None):
         params[i][0] -= lr * gw
         params[i][1] -= lr * gb
 
+    return update
+
+
+def reference_train(params, x, qw, lr, epochs, momentum=0.0, batch_size=None):
+    n = x.shape[0]
+    if batch_size is None or batch_size >= n:
+        batches = [slice(0, n)]
+    else:
+        batches = [slice(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+    update = reference_update(params, lr, momentum)
+
     losses = []
     for _ in range(epochs):
         total = 0.0
@@ -110,10 +126,85 @@ def reference_train(params, x, qw, lr, epochs, momentum=0.0, batch_size=None):
     return np.array(losses)
 
 
+def on_dual_side(n, row, batch_size=None):
+    """Whether ``train`` keeps the first layer of a fit on ``n`` curves of
+    ``row`` values each in dual form."""
+    return (batch_size is None or batch_size >= n) and n < DUAL_BELOW * row
+
+
+def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
+    """Full-batch descent with the first layer in dual form: it is
+    ``W0 + C.T X``, ``b0 + C.sum(0)`` over the weighed data ``X``, so its
+    pre-activation is ``(X X.T + 1) C + (X W0.T + b0)`` and its step is
+    ``C -= lr * delta``; ``C`` goes into its parameters after the last epoch.
+    The other layers are those of :func:`reference_train`."""
+    n = x.shape[0]
+    w0, b0, q0, act0 = params[0]
+    xw = (x * q0).reshape(n, -1)
+    gram = xw @ xw.T + 1.0
+    base = xw @ _matrix(w0).T + b0.ravel()
+    coef, velocity = np.zeros_like(base), np.zeros_like(base)
+    update = reference_update(params, lr, momentum)
+    losses = []
+    for _ in range(epochs):
+        pre0 = (gram @ coef + base).reshape(n, *b0.shape)
+        inputs, pres, h = [], [], act0.apply(pre0)
+        for w, b, q, act in params[1:]:
+            inputs.append(h)
+            h, pre = reference_forward(w, b, q, act, h)
+            pres.append(pre)
+        residual = h - x
+        upstream = (2.0 / n) * qw * residual
+        # train sums batch losses weighed by their length: one batch of n here
+        losses.append(0.5 * float(np.vdot(residual, upstream)) * n / n)
+        for i in range(len(params) - 1, 0, -1):
+            w, _, q, act = params[i]
+            gw, gb, upstream = reference_backward(w, q, act, inputs[i - 1], pres[i - 1], upstream)
+            update(i, gw, gb)
+        delta = (upstream * reference_derivative(act0, pre0)).reshape(n, -1)
+        if momentum > 0:
+            velocity *= momentum
+            velocity += delta
+            delta = velocity
+        coef -= lr * delta
+    if epochs:
+        j_out, j_in, m_out, m_in = w0.shape
+        matrix = _matrix(w0) + coef.T @ xw
+        w0[...] = matrix.reshape(j_out, m_out, j_in, m_in).transpose(0, 2, 1, 3)
+        b0 += coef.sum(axis=0).reshape(b0.shape)
+    return np.array(losses)
+
+
+def reference_fits(model, x, lr, epochs, momentum=0.0, batch_size=None):
+    """``((losses, params), (primal_losses, primal_params))`` from ``model``'s
+    parameters: the reference loop of the side ``train`` takes, and the primal
+    loop (the same loop on the primal side)."""
+    qw = model.data_grid.quad_weights
+    primal = reference_params(model)
+    primal_fit = reference_train(primal, x, qw, lr, epochs, momentum, batch_size), primal
+    if not on_dual_side(x.shape[0], x[0].size, batch_size):
+        return primal_fit, primal_fit
+    dual = reference_params(model)
+    return (reference_dual_train(dual, x, qw, lr, epochs, momentum), dual), primal_fit
+
+
 def assert_same_parameters(model, params):
     for lay, (w, b, _, _) in zip(model.layers, params):
         np.testing.assert_array_equal(lay.weights, w)
         np.testing.assert_array_equal(lay.biases, b)
+
+
+def assert_near(got, want):
+    """Within ``DUAL_RTOL`` of ``want``'s largest value."""
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=DUAL_RTOL * np.abs(want).max())
+
+
+def assert_near_primal(model, losses, primal_fit):
+    primal_losses, primal = primal_fit
+    assert_near(losses, primal_losses)
+    for lay, (w, b, _, _) in zip(model.layers, primal):
+        assert_near(lay.weights, w)
+        assert_near(lay.biases, b)
 
 
 CASES = {
@@ -134,6 +225,13 @@ CASES = {
                                                           momentum=0.5, batch_size=4, epochs=30)),
     # rows of 2 x 70 curve values: the quadrature multipliers are broadcast rows, not tiles
     "long_rows": ((6, 2, 70), dict(latent_features=2, latent_points=70, lr=0.02, epochs=10)),
+    # full batches of at least DUAL_BELOW rows' length: the first layer stays primal
+    "primal_full_batch": ((20, 2, 5), dict(latent_features=2, latent_points=3, n_layers=3,
+                                           lr=0.3, epochs=40)),
+    "primal_momentum": ((30, 1, 9), dict(latent_features=2, latent_points=4, hidden="relu",
+                                         lr=0.2, momentum=0.9, epochs=40)),
+    "primal_sigmoid_long_rows": ((300, 1, 140), dict(latent_features=1, latent_points=3,
+                                                     hidden="sigmoid", lr=0.02, epochs=5)),
 }
 
 
@@ -143,12 +241,18 @@ def test_train_matches_reference_loop(case):
     cfg = bottleneck_config(r, m, seed=7, **kwargs)
     model = build(cfg)
     x = np.random.default_rng(8).standard_normal((n, r, m))
-    params = reference_params(model)
-    losses = reference_train(params, x, model.data_grid.quad_weights, cfg.lr, cfg.epochs,
-                             cfg.momentum, cfg.batch_size)
+    (losses, params), primal = reference_fits(model, x, cfg.lr, cfg.epochs, cfg.momentum,
+                                              cfg.batch_size)
     history = train(model, x)
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
+    assert_near_primal(model, history.losses, primal)
+
+
+def test_full_batch_cases_cover_both_sides():
+    sides = {on_dual_side(n, r * m) for (n, r, m), kwargs in CASES.values()
+             if kwargs.get("batch_size") is None}
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -166,10 +270,11 @@ def test_model_gradients_match_reference_pass(case):
 
 @pytest.mark.parametrize("widths", [[6, 3, 6], [8, 4, 3, 8]])
 def test_unit_weight_ae_matches_reference_loop(widths):
+    # 12 curves: the 6-wide AE is primal (12 = 2 * 6), the 8-wide one dual
     data = np.random.default_rng(11).standard_normal((12, widths[0]))
     start, _ = ae_fit(data, widths, lr=0.05, epochs=0, seed=12)
-    params = reference_params(start)
-    losses = reference_train(params, data[:, None, :], start.data_grid.quad_weights, 0.05, 50)
+    (losses, params), primal = reference_fits(start, data[:, None, :], 0.05, 50)
     model, history = ae_fit(data, widths, lr=0.05, epochs=50, seed=12)
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
+    assert_near_primal(model, history.losses, primal)
