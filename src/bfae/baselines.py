@@ -249,7 +249,7 @@ def ae_fit(
             )
         )
     # ``train`` reads only these optimization settings from ``model.config``
-    settings = SimpleNamespace(lr=lr, epochs=epochs, momentum=0.0, batch_size=None)
+    settings = SimpleNamespace(lr=lr, epochs=epochs, momentum=0.0)
     model = AEModel(
         layers=layers, latent_index=int(np.argmin(widths[1:])) + 1, config=settings
     )

@@ -363,27 +363,22 @@ def init_layer(
     )
 
 
-def sgd_step(layer: ContinuousLayer, grads, lr: float, cache: LayerCache = None) -> ContinuousLayer:
+def sgd_step(layer: ContinuousLayer, grads: np.ndarray, lr: float,
+             cache: LayerCache = None) -> ContinuousLayer:
     """In-place update ``params -= lr * grads``; returns the layer.
 
-    ``grads`` is a vector laid out like ``layer.params`` (a cache's ``grads``,
-    say) or a pair ``(grad_weights, grad_biases)`` shaped like ``weights`` and
-    ``biases``; it is left unchanged.  ``lr`` must pass :func:`check_lr`.  The
+    ``grads`` is an array laid out like ``layer.params`` (a cache's ``grads``,
+    say); it is left unchanged.  ``lr`` must pass :func:`check_lr`.  The
     step ``lr * grads`` is a temporary, except with the ``cache`` of a training
     workspace (``model.train``), which has been through :func:`layer_backward`
     and whose ``grads`` are dead once summed into the step: the step is
     written over them.
     """
     check_lr(lr)
-    if isinstance(grads, np.ndarray):
-        if grads.shape != layer.params.shape:
-            raise ValueError("gradient shapes do not match layer parameters")
-    else:
-        grad_w, grad_b = grads
-        if grad_w.shape != layer.weights.shape or grad_b.shape != layer.biases.shape:
-            raise ValueError("gradient shapes do not match layer parameters")
-        # gathered into the params layout: the matrix rows, then the bias
-        grads = np.concatenate((grad_w.transpose(0, 2, 1, 3).ravel(), grad_b.ravel()))
+    if not isinstance(grads, np.ndarray) or grads.shape != layer.params.shape:
+        got = getattr(grads, "shape", type(grads).__name__)
+        raise ValueError(f"grads must be an array laid out like layer.params, of shape "
+                         f"{layer.params.shape}; got {got}")
     step = cache.grads if cache is not None and cache._in_place else None
     layer.params -= np.multiply(grads, lr, out=step)
     return layer

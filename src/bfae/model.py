@@ -86,7 +86,6 @@ class BFAEConfig:
     init_scheme: str = "uniform"
     seed: int = 0
     momentum: float = 0.0
-    batch_size: Optional[int] = None
 
     def __post_init__(self):
         feats = tuple(int(j) for j in self.feature_counts)
@@ -125,8 +124,6 @@ class BFAEConfig:
             raise ValueError("epochs must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         object.__setattr__(self, "feature_counts", feats)
         object.__setattr__(self, "grid_sizes", grids)
         object.__setattr__(self, "latent_index", int(latent))
@@ -221,6 +218,8 @@ class BFAEModel:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"batch must be (n, R, M), got shape {x.shape}")
+        if len(x) == 0:
+            raise ValueError(f"batch {x.shape} holds no samples")
         if x.shape[1] != self.n_features or x.shape[2] != len(self.data_grid):
             raise ValueError(
                 f"batch shape {x.shape[1:]} does not match model "
@@ -325,22 +324,23 @@ class _DualFirstLayer:
         self.layer.bias += np.add.reduce(self.coef, axis=0)
 
 
-def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspaces: dict,
+def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspace: tuple = None,
                    lr: float = None, momentum: float = 0.0, velocity: list = None,
                    dual: _DualFirstLayer = None):
     """Forward, loss and backward of a checked batch ``x``, whose first-layer
-    ``weigh_input`` is ``weighted``, into a training workspace made once per
-    batch size in ``workspaces``; returns ``(loss, caches)``.  Without ``lr``
-    the caches hold the gradients.  With ``lr`` each layer takes its step by
-    :func:`sgd_step` right after its backward pass, which has already formed
-    the input gradient from the old matrix; with ``velocity`` (one vector per
-    layer) the step is along ``velocity = momentum * velocity + grads``.  With
-    ``dual`` (and ``lr``) the first layer is ``dual``: it makes no cache and no
-    ``velocity`` entry, and takes its step last.  The loss is
+    ``weigh_input`` is ``weighted``, into a training workspace, made when
+    ``workspace`` is ``None`` and passed back for the next pass of the fit;
+    returns ``(loss, workspace)``, whose first entry is the caches.  Without
+    ``lr`` the caches hold the gradients.  With ``lr`` each layer takes its
+    step by :func:`sgd_step` right after its backward pass, which has already
+    formed the input gradient from the old matrix; with ``velocity`` (one
+    vector per layer) the step is along ``velocity = momentum * velocity +
+    grads``.  With ``dual`` (and ``lr``) the first layer is ``dual``: it makes
+    no cache and no ``velocity`` entry, and takes its step last.  The loss is
     :func:`reconstruction_loss` up to rounding."""
     n = len(x)
     first = 0 if dual is None else 1
-    if n not in workspaces:
+    if workspace is None:
         # the first layer is passed the data weighted once per fit
         caches = [None] * first + [_TrainingCache(layer, n, weigh=ell > 0)
                                    for ell, layer in enumerate(model.layers) if ell >= first]
@@ -351,9 +351,9 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
         # the loss gradient w.r.t. the output is the residual times (2 / n) q,
         # multiplied over (n, J*M) views: never broadcast over the M axis
         scale = np.tile((2.0 / n) * model.data_grid.quad_weights, x.shape[1])
-        workspaces[n] = (caches, residual, upstream, residual.reshape(n, -1),
-                         upstream.reshape(n, -1), _batch_multiplier(scale, n))
-    caches, residual, upstream, residual_flat, upstream_flat, scale = workspaces[n]
+        workspace = (caches, residual, upstream, residual.reshape(n, -1),
+                     upstream.reshape(n, -1), _batch_multiplier(scale, n))
+    caches, residual, upstream, residual_flat, upstream_flat, scale = workspace
     h = x if dual is None else dual.forward()
     for layer, cache in zip(model.layers[first:], caches[first:]):
         h = layer_forward(layer, h, cache, weighted)[0]
@@ -375,7 +375,7 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
             sgd_step(layer, grads, lr, cache)
     if dual is not None:
         dual.step(upstream, lr, momentum)
-    return loss, caches
+    return loss, workspace
 
 
 def model_gradients(model: BFAEModel, x: np.ndarray):
@@ -384,59 +384,52 @@ def model_gradients(model: BFAEModel, x: np.ndarray):
     Returns ``(loss, [(grad_w, grad_b), ...])`` ordered like ``model.layers``.
     """
     x = model._check_batch(x)
-    loss, caches = _gradient_pass(model, x, weigh_input(model.layers[0], x), {})
+    loss, (caches, *_) = _gradient_pass(model, x, weigh_input(model.layers[0], x))
     return loss, [(cache.grad_weights, cache.grad_biases) for cache in caches]
 
 
 def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
-    """Gradient-descent training using the model config's lr/epochs.
+    """Full-batch gradient descent using the model config's lr/epochs.
 
-    Full batch by default; with ``config.batch_size`` set, fixed contiguous
-    mini-batches are visited in order each epoch.  A full batch shorter than
-    ``DUAL_BELOW`` times the first layer's input width trains that layer in
-    dual form (``_DualFirstLayer``), which rounds differently from the primal
-    steps; its parameters are written back when training ends, however it
-    ends.  Raises :class:`TrainingDiverged` if the loss becomes non-finite or
-    exceeds ``DIVERGENCE_FACTOR`` times the first epoch's loss.
+    A batch shorter than ``DUAL_BELOW`` times the first layer's input width
+    trains that layer in dual form (``_DualFirstLayer``), which rounds
+    differently from the primal steps; its parameters are written back when
+    training ends, however it ends.  ``losses[epoch]`` is the loss of that
+    epoch's pass, before its steps.  Raises :class:`TrainingDiverged` if the
+    loss becomes non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first
+    epoch's loss.
     """
     cfg = model.config
     lr, momentum = cfg.lr, cfg.momentum
     x = model._check_batch(train_values)
-    n = x.shape[0]
     # the data and its quadrature weights are fixed: weigh them once per fit
     weighted = weigh_input(model.layers[0], x)
-    size = max(1, n if cfg.batch_size is None else min(cfg.batch_size, n))
-    batches = [(x[s : s + size], weighted[s : s + size]) for s in range(0, n, size)]
     dual = None
-    if cfg.epochs > 0 and size == n and n < DUAL_BELOW * weighted.shape[1]:
+    if cfg.epochs > 0 and len(x) < DUAL_BELOW * weighted.shape[1]:
         dual = _DualFirstLayer(model.layers[0], weighted, momentum)
         # weighed again for the fold, so not held through the epochs
-        batches, weighted = [(x, None)], None
+        weighted = None
     first = 0 if dual is None else 1
     velocity = None
     if momentum > 0:
         velocity = [None] * first + [np.zeros_like(lay.params) for lay in model.layers[first:]]
-    workspaces = {}
+    workspace = None
 
     losses = np.empty(cfg.epochs)
     try:
         for epoch in range(cfg.epochs):
-            epoch_loss = 0.0
-            for xb, wb in batches:
-                batch_loss = _gradient_pass(model, xb, wb, workspaces, lr, momentum, velocity,
-                                            dual)[0]
-                epoch_loss += batch_loss * xb.shape[0]
-            epoch_loss /= n
-            losses[epoch] = epoch_loss
-            if not (math.isfinite(epoch_loss) and epoch_loss <= DIVERGENCE_FACTOR * losses[0]):
+            loss, workspace = _gradient_pass(model, x, weighted, workspace, lr, momentum,
+                                             velocity, dual)
+            losses[epoch] = loss
+            if not (math.isfinite(loss) and loss <= DIVERGENCE_FACTOR * losses[0]):
                 raise TrainingDiverged(
-                    f"loss {epoch_loss:.6g} at epoch {epoch} (initial loss {losses[0]:.6g}): "
+                    f"loss {loss:.6g} at epoch {epoch} (initial loss {losses[0]:.6g}): "
                     f"non-finite or above {DIVERGENCE_FACTOR:g} times the initial loss; reduce lr"
                 )
             model.trained_epochs += 1
     finally:
         if dual is not None:
-            workspaces.clear()
+            workspace = None  # freed before the fold
             dual.fold(weigh_input(model.layers[0], x))
     return TrainHistory(losses=losses)
 
@@ -447,7 +440,8 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 def save_model(model: BFAEModel, path) -> Path:
     """Write a model as JSON: config + shapes header + base64 row-major payload.
 
-    The config block is ``BFAEConfig``'s fields in declaration order.
+    The config block is ``BFAEConfig``'s fields in declaration order, then
+    ``batch_size``, which format 1 keeps as null: training is full batch.
     """
     path = Path(path)
     chunks = []
@@ -459,7 +453,7 @@ def save_model(model: BFAEModel, path) -> Path:
     payload = np.concatenate(chunks).astype("<f8").tobytes()
     doc = {
         "format_version": 1,
-        "config": asdict(model.config),
+        "config": {**asdict(model.config), "batch_size": None},
         "trained_epochs": model.trained_epochs,
         "layer_shapes": shapes,
         "dtype": "float64",
@@ -474,10 +468,13 @@ def load_model(path) -> BFAEModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model file version: {doc.get('format_version')}")
-    names = [f.name for f in fields(BFAEConfig)]
-    if set(doc["config"]) != set(names):
-        raise ValueError(f"model file config keys {sorted(doc['config'])} differ from {names}")
-    config = BFAEConfig(**doc["config"])
+    block = doc["config"]
+    names = [f.name for f in fields(BFAEConfig)] + ["batch_size"]
+    if set(block) != set(names):
+        raise ValueError(f"model file config keys {sorted(block)} differ from {names}")
+    if block.pop("batch_size") is not None:
+        raise ValueError("model file batch_size must be null: training is full batch")
+    config = BFAEConfig(**block)
     shapes = doc["layer_shapes"]
     if len(shapes) != config.n_layers:
         raise ValueError(f"model file has {len(shapes)} layer shapes for {config.n_layers} layers")

@@ -359,7 +359,7 @@ class TestParameterStorage:
         w = np.ones((2, 3, 4, 4))
         b = np.zeros((2, 4))
         layer = ContinuousLayer(g, g, w, b, Activation("tanh"))
-        sgd_step(layer, (np.ones_like(w), np.ones_like(b)), lr=0.5)
+        sgd_step(layer, np.ones_like(layer.params), lr=0.5)
         assert layer.weights[0, 0, 0, 0] == 0.5 and layer.biases[0, 0] == -0.5
         np.testing.assert_array_equal(w, 1.0)
         np.testing.assert_array_equal(b, 0.0)
@@ -452,14 +452,14 @@ class TestSgdStep:
     def test_zero_lr_keeps_layer(self):
         layer = random_layer(1, 2, 4, 4, "tanh", seed=61)
         w0, b0 = layer.weights.copy(), layer.biases.copy()
-        sgd_step(layer, (np.ones_like(w0), np.ones_like(b0)), lr=0.0)
+        sgd_step(layer, np.ones_like(layer.params), lr=0.0)
         np.testing.assert_array_equal(layer.weights, w0)
         np.testing.assert_array_equal(layer.biases, b0)
 
     def test_zero_gradient_keeps_layer(self):
         layer = random_layer(1, 2, 4, 4, "tanh", seed=62)
         w0 = layer.weights.copy()
-        sgd_step(layer, (np.zeros_like(layer.weights), np.zeros_like(layer.biases)), lr=0.3)
+        sgd_step(layer, np.zeros_like(layer.params), lr=0.3)
         np.testing.assert_array_equal(layer.weights, w0)
 
     def test_update_magnitude(self):
@@ -470,33 +470,24 @@ class TestSgdStep:
             biases=np.zeros((1, 2)),
             activation=Activation("linear"),
         )
-        grad_w = np.full((1, 1, 2, 2), 3.0)
-        sgd_step(layer, (grad_w, np.zeros((1, 2))), lr=0.1)
+        grads = np.zeros_like(layer.params)
+        grads[: layer.matrix.size] = 3.0
+        sgd_step(layer, grads, lr=0.1)
         np.testing.assert_allclose(layer.weights, 1.0 - 0.3)
+        np.testing.assert_array_equal(layer.biases, 0.0)
 
     def test_grads_left_unchanged(self):
         # with momentum the grads are the velocity buffers, so they must survive
         layer = random_layer(2, 3, 4, 5, "tanh", seed=65)
         rng = np.random.default_rng(66)
-        grad_w, grad_b = rng.standard_normal((3, 2, 5, 4)), rng.standard_normal((3, 5))
-        kept = grad_w.copy(), grad_b.copy()
+        grads = rng.standard_normal(layer.params.shape)
+        kept = grads.copy()
         x = rng.standard_normal((2, 2, 4))
         _, cache = layer_forward(layer, x)
         layer_backward(layer, cache, rng.standard_normal((2, 3, 5)))
         for work in (None, cache):
-            sgd_step(layer, (grad_w, grad_b), lr=0.7, cache=work)
-            np.testing.assert_array_equal(grad_w, kept[0])
-            np.testing.assert_array_equal(grad_b, kept[1])
-
-    def test_vector_and_pair_steps_agree_bit_for_bit(self):
-        rng = np.random.default_rng(67)
-        pair, vector = (random_layer(2, 3, 4, 5, "tanh", seed=68) for _ in range(2))
-        x, upstream = rng.standard_normal((2, 2, 4)), rng.standard_normal((2, 3, 5))
-        _, cache = layer_forward(vector, x)
-        gw, gb, _ = layer_backward(vector, cache, upstream)
-        sgd_step(pair, (gw.copy(), gb.copy()), lr=0.3)
-        sgd_step(vector, cache.grads, lr=0.3, cache=cache)
-        assert pair.params.tobytes() == vector.params.tobytes()
+            sgd_step(layer, grads, lr=0.7, cache=work)
+            assert grads.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan, -0.1])
     def test_lr_must_be_finite_and_non_negative(self, lr):
@@ -508,7 +499,13 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         layer = random_layer(1, 1, 3, 3, "linear", seed=64)
-        with pytest.raises(ValueError, match="shapes"):
-            sgd_step(layer, (np.zeros((1, 1, 2, 3)), np.zeros((1, 3))), lr=0.1)
-        with pytest.raises(ValueError, match="shapes"):
+        params = layer.params.copy()
+        layout = r"grads must be an array laid out like layer.params, of shape \(12,\)"
+        with pytest.raises(ValueError, match=layout + r"; got \(11,\)"):
             sgd_step(layer, np.zeros(layer.params.size - 1), lr=0.1)
+        with pytest.raises(ValueError, match=layout + r"; got \(4, 3\)"):
+            sgd_step(layer, np.zeros((4, 3)), lr=0.1)
+        # the (grad_weights, grad_biases) pair is not a gradient form
+        with pytest.raises(ValueError, match=layout + "; got tuple"):
+            sgd_step(layer, (np.zeros(layer.weights.shape), np.zeros(layer.biases.shape)), lr=0.1)
+        assert layer.params.tobytes() == params.tobytes()

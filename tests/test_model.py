@@ -130,6 +130,12 @@ class TestForwardEncode:
         with pytest.raises(ValueError, match="batch"):
             model.reconstruct(np.zeros((3, 2, 9)))
 
+    def test_an_empty_batch_is_rejected_by_every_caller(self):
+        model = build(bottleneck_config(2, 8, 1, 4, epochs=1))
+        for call in (model.encode, lambda x: model_gradients(model, x), lambda x: train(model, x)):
+            with pytest.raises(ValueError, match=r"batch \(0, 2, 8\) holds no samples"):
+                call(np.zeros((0, 2, 8)))
+
     def test_two_layer_model_matches_nested_quadrature_oracle(self):
         from test_layers import brute_force_forward
 
@@ -252,14 +258,6 @@ class TestTrain:
         x = np.random.default_rng(12).standard_normal((8, 1, 9))
         history = train(model, x)
         assert history.losses[-1] < history.losses[0] * 0.5
-
-    def test_minibatch_path(self):
-        cfg = bottleneck_config(1, 7, 1, 3, lr=0.5, epochs=20, batch_size=3, seed=13)
-        model = build(cfg)
-        x = np.random.default_rng(14).standard_normal((8, 1, 7))
-        history = train(model, x)
-        assert history.losses.shape == (20,)
-        assert history.losses[-1] < history.losses[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
@@ -499,16 +497,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="1 layer shapes for 2 layers"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda config: config.pop("lr"),
-        lambda config: config.update(dropout=0.5),
-    ], ids=["missing-lr", "unknown-key"])
-    def test_rejects_config_keys_that_differ_from_the_fields(self, edit, tmp_path):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda config: config.pop("lr"), "config keys"),
+        (lambda config: config.update(dropout=0.5), "config keys"),
+        # reserved in format 1 and always null: training is full batch
+        (lambda config: config.update(batch_size=4), "batch_size must be null"),
+    ], ids=["missing-lr", "unknown-key", "batch-size-set"])
+    def test_rejects_config_keys_that_differ_from_the_fields(self, edit, match, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2, lr=0.5)), tmp_path / "m.json")
         doc = json.loads(path.read_text())
         edit(doc["config"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="config keys"):
+        with pytest.raises(ValueError, match=match):
             load_model(path)
 
     @pytest.mark.parametrize("cut", [16, 4], ids=["whole-values", "part-value"])

@@ -109,27 +109,15 @@ def reference_update(params, lr, momentum):
     return update
 
 
-def reference_train(params, x, qw, lr, epochs, momentum=0.0, batch_size=None):
-    n = x.shape[0]
-    if batch_size is None or batch_size >= n:
-        batches = [slice(0, n)]
-    else:
-        batches = [slice(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+def reference_train(params, x, qw, lr, epochs, momentum=0.0):
     update = reference_update(params, lr, momentum)
-
-    losses = []
-    for _ in range(epochs):
-        total = 0.0
-        for sl in batches:
-            total += reference_step(params, x[sl], qw, update)[0] * x[sl].shape[0]
-        losses.append(total / n)
-    return np.array(losses)
+    return np.array([reference_step(params, x, qw, update)[0] for _ in range(epochs)])
 
 
-def on_dual_side(n, row, batch_size=None):
+def on_dual_side(n, row):
     """Whether ``train`` keeps the first layer of a fit on ``n`` curves of
     ``row`` values each in dual form."""
-    return (batch_size is None or batch_size >= n) and n < DUAL_BELOW * row
+    return n < DUAL_BELOW * row
 
 
 def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
@@ -155,8 +143,7 @@ def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
             pres.append(pre)
         residual = h - x
         upstream = (2.0 / n) * qw * residual
-        # train sums batch losses weighed by their length: one batch of n here
-        losses.append(0.5 * float(np.vdot(residual, upstream)) * n / n)
+        losses.append(0.5 * float(np.vdot(residual, upstream)))
         for i in range(len(params) - 1, 0, -1):
             w, _, q, act = params[i]
             gw, gb, upstream = reference_backward(w, q, act, inputs[i - 1], pres[i - 1], upstream)
@@ -175,14 +162,14 @@ def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
     return np.array(losses)
 
 
-def reference_fits(model, x, lr, epochs, momentum=0.0, batch_size=None):
+def reference_fits(model, x, lr, epochs, momentum=0.0):
     """``((losses, params), (primal_losses, primal_params))`` from ``model``'s
     parameters: the reference loop of the side ``train`` takes, and the primal
     loop (the same loop on the primal side)."""
     qw = model.data_grid.quad_weights
     primal = reference_params(model)
-    primal_fit = reference_train(primal, x, qw, lr, epochs, momentum, batch_size), primal
-    if not on_dual_side(x.shape[0], x[0].size, batch_size):
+    primal_fit = reference_train(primal, x, qw, lr, epochs, momentum), primal
+    if not on_dual_side(x.shape[0], x[0].size):
         return primal_fit, primal_fit
     dual = reference_params(model)
     return (reference_dual_train(dual, x, qw, lr, epochs, momentum), dual), primal_fit
@@ -218,11 +205,8 @@ CASES = {
                                     hidden="relu", lr=0.3, epochs=40)),
     "momentum": ((8, 2, 9), dict(latent_features=1, latent_points=4, lr=0.2, momentum=0.9,
                                  epochs=60)),
-    "ragged_minibatches": ((11, 2, 6), dict(latent_features=1, latent_points=3, lr=0.5,
-                                            batch_size=4, epochs=30)),
-    "deep_sigmoid_momentum_minibatches": ((9, 2, 6), dict(latent_features=2, latent_points=3,
-                                                          n_layers=3, hidden="sigmoid", lr=0.5,
-                                                          momentum=0.5, batch_size=4, epochs=30)),
+    "one_latent_feature": ((11, 2, 6), dict(latent_features=1, latent_points=3, lr=0.5,
+                                            epochs=30)),
     # rows of 2 x 70 curve values: the quadrature multipliers are broadcast rows, not tiles
     "long_rows": ((6, 2, 70), dict(latent_features=2, latent_points=70, lr=0.02, epochs=10)),
     # full batches of at least DUAL_BELOW rows' length: the first layer stays primal
@@ -230,6 +214,9 @@ CASES = {
                                            lr=0.3, epochs=40)),
     "primal_momentum": ((30, 1, 9), dict(latent_features=2, latent_points=4, hidden="relu",
                                          lr=0.2, momentum=0.9, epochs=40)),
+    "primal_deep_sigmoid_momentum": ((24, 2, 6), dict(latent_features=2, latent_points=3,
+                                                      n_layers=3, hidden="sigmoid", lr=0.5,
+                                                      momentum=0.5, epochs=30)),
     "primal_sigmoid_long_rows": ((300, 1, 140), dict(latent_features=1, latent_points=3,
                                                      hidden="sigmoid", lr=0.02, epochs=5)),
 }
@@ -241,8 +228,7 @@ def test_train_matches_reference_loop(case):
     cfg = bottleneck_config(r, m, seed=7, **kwargs)
     model = build(cfg)
     x = np.random.default_rng(8).standard_normal((n, r, m))
-    (losses, params), primal = reference_fits(model, x, cfg.lr, cfg.epochs, cfg.momentum,
-                                              cfg.batch_size)
+    (losses, params), primal = reference_fits(model, x, cfg.lr, cfg.epochs, cfg.momentum)
     history = train(model, x)
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
@@ -250,9 +236,7 @@ def test_train_matches_reference_loop(case):
 
 
 def test_full_batch_cases_cover_both_sides():
-    sides = {on_dual_side(n, r * m) for (n, r, m), kwargs in CASES.values()
-             if kwargs.get("batch_size") is None}
-    assert sides == {True, False}
+    assert {on_dual_side(n, r * m) for (n, r, m), _ in CASES.values()} == {True, False}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
