@@ -50,7 +50,10 @@ class PCAModel:
 
 def pca_fit(data: np.ndarray, variance_target: float = 0.99) -> PCAModel:
     """Fit PCA on ``(n, d)`` rows, retaining the smallest component count
-    whose cumulative explained-variance ratio reaches ``variance_target``."""
+    whose cumulative explained-variance ratio reaches ``variance_target``,
+    which must be in (0, 1]."""
+    if not 0 < variance_target <= 1:
+        raise ValueError(f"variance_target must be in (0, 1], got {variance_target!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need a 2-D array with at least 2 samples")
@@ -111,8 +114,10 @@ def fpca_fit(values: np.ndarray, grid: Grid, variance_target: float = 0.99) -> F
     and ``C`` the sample covariance matrix; eigenvectors are mapped back by
     ``W^{-1/2}``, which makes them orthonormal in the quadrature inner
     product.  Retention is greedy on the eigenvalues pooled across features
-    until ``variance_target`` of the summed variance is covered.
+    until ``variance_target`` (in (0, 1]) of the summed variance is covered.
     """
+    if not 0 < variance_target <= 1:
+        raise ValueError(f"variance_target must be in (0, 1], got {variance_target!r}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3 or values.shape[0] < 2:
         raise ValueError("need (n, r, m) values with at least 2 samples")
@@ -221,18 +226,27 @@ def ae_fit(
 ) -> tuple:
     """Train by full-batch gradient descent; returns ``(model, history)``.
 
-    Weights start Glorot-uniform, drawn layer by layer from one generator
-    seeded with ``seed``; biases start at zero.
+    ``widths`` lists at least 3 boundary widths (2 layers), and
+    ``activations``, when given, one activation per layer.  Weights start
+    Glorot-uniform, drawn layer by layer from one generator seeded with
+    ``seed``; biases start at zero.
     """
     check_lr(lr)
+    if not epochs >= 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be (n, d)")
     widths = list(widths)
+    if len(widths) < 3:
+        raise ValueError(f"need at least 2 layers (3 widths), got widths {widths}")
     if widths[0] != data.shape[1] or widths[-1] != data.shape[1]:
         raise ValueError("first and last widths must equal the data dimension")
     if activations is None:
         activations = ["tanh"] * (len(widths) - 2) + ["linear"]
+    if len(activations) != len(widths) - 1:
+        raise ValueError(f"need {len(widths) - 1} activations, one per layer, "
+                         f"got {len(activations)}")
     rng = np.random.default_rng(seed)
     grids = [_unit_grid(width) for width in widths]
     layers = []

@@ -94,9 +94,13 @@ def flm_classify_fit(
     the objective path is nondecreasing.  The fit stops once no gradient
     entry exceeds ``tol`` in size, or when no step along the Newton
     direction raises the objective any more (the gain has fallen below its
-    rounding); ``max_iter`` only caps the steps.
-    Deterministic: parameters start at zero.
+    rounding); ``max_iter`` (at least 1) only caps the steps.  ``ridge``
+    must be finite and >= 0.  Deterministic: parameters start at zero.
     """
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     x = _as_curves(curves)
     labels = np.asarray(labels)
     classes = sorted(set(labels.tolist()))
@@ -237,8 +241,10 @@ def select_ridge(
     ``score_split(train_idx, val_idx)`` is called once and must return a
     function mapping a ridge to a score where smaller is better, so that what
     it builds from the split is shared by every ridge and freed on return.
-    Ties go to the larger ridge.
+    Ties go to the larger ridge.  ``grid`` must hold at least one ridge.
     """
+    if len(grid) == 0:
+        raise ValueError("select_ridge needs a grid of at least one ridge")
     order = np.random.default_rng(seed).permutation(n_train)
     n_val = max(1, n_train // 5)
     val_idx, train_idx = order[:n_val], order[n_val:]

@@ -53,7 +53,11 @@ def default_config(kind: str) -> dict:
 
     This is the only place a default lives, and the schema that
     :func:`load_config` and :func:`apply_overrides` check every key against:
-    each kind carries every key any command reads.
+    each kind carries exactly the keys its commands read.  Simulated kinds
+    (``sim1``, ``sim10``, ``custom``) carry the simulator's ``sim`` keys;
+    real-data kinds carry only the stand-in's sample and point counts there,
+    plus ``downstream`` and ``standin``.  ``paths`` holds ``dataset`` and the
+    kind's ``REALDATA_PATHS`` keys.
 
     Learning rates and epoch counts are calibration choices for these grid
     sizes (the discrete-exact gradients scale with the squared grid spacing,
@@ -61,12 +65,13 @@ def default_config(kind: str) -> dict:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
+    realdata = kind in REALDATA_PATHS
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "master_seed": 0,
-        "replications": 10,
-        "sim": {
+        "replications": 1 if realdata else 10,
+        "sim": {"n_samples": 100, "m_points": 50} if realdata else {
             "n_samples": 100,
             "n_features": 1,
             "m_points": 50,
@@ -89,35 +94,26 @@ def default_config(kind: str) -> dict:
         "ae": {"lr": 0.005, "epochs": 3000},
         "baselines": {"pca": True, "ae": True, "fpca": True},
         "variance_target": 0.99,
-        "standardize": False,
-        "downstream": {"ridge": None},
-        "standin": True,
-        "paths": {
-            "dataset": None,
-            "phoneme": None,
-            "adelaide_temperature": None,
-            "adelaide_demand": None,
-        },
+        "standardize": realdata,
+        "paths": dict.fromkeys(("dataset",) + REALDATA_PATHS.get(kind, ())),
     }
+    if realdata:
+        cfg.update(downstream={"ridge": None}, standin=True)
     if kind == "sim10":
         cfg["replications"] = 5
         cfg["sim"]["n_features"] = 10
         cfg["bfae"].update(latent_features=4, lr=20.0, epochs=6000)
         cfg["ae"].update(lr=0.003, epochs=3000)
     elif kind == "phoneme":
-        cfg["replications"] = 1
         cfg["sim"].update(n_samples=800, m_points=150)
         cfg["bfae"].update(latent_points=150, lr=100.0, epochs=3000)
         cfg["bfae_reduced_points"] = 30
-        cfg["standardize"] = True
         cfg["standin_class_sep"] = 5.0
     elif kind == "adelaide":
-        cfg["replications"] = 1
         cfg["sim"].update(n_samples=508, m_points=48)
         cfg["split"]["train_fraction"] = 400.0 / 508.0
         cfg["bfae"].update(latent_features=4, latent_points=48, epochs=6000)
         cfg["bfae_reduced_points"] = 12
-        cfg["standardize"] = True
     return cfg
 
 
@@ -235,11 +231,14 @@ def _methods(cfg: dict, grid, n_features: int, bfae_seed: int, with_none: bool):
     """``(method, reducer, bfae_config)`` for every method a run fits, in report order.
 
     Baselines that mirror an architecture (the dense AE) mirror the plain BFAE.
-    The ``ae`` section is checked here, before any method is fitted.
+    The ``ae`` section and ``variance_target`` are checked here, before any
+    method is fitted.
     """
     check_lr(cfg["ae"]["lr"], "ae.lr")
     if not cfg["ae"]["epochs"] >= 0:
         raise ValueError(f"ae.epochs must be >= 0, got {cfg['ae']['epochs']!r}")
+    if not 0 < cfg["variance_target"] <= 1:
+        raise ValueError(f"variance_target must be in (0, 1], got {cfg['variance_target']!r}")
     plain = _bfae_config(cfg, grid, n_features, cfg["bfae"]["latent_points"], bfae_seed)
     reduced = _bfae_config(cfg, grid, n_features, cfg["bfae_reduced_points"], bfae_seed)
     names = (["none"] if with_none else []) + [
@@ -440,6 +439,10 @@ def run_realdata(cfg: dict, out_dir):
         raise ValueError("realdata runs need kind 'phoneme' or 'adelaide'")
     if cfg["replications"] != 1:
         raise ValueError(f"realdata runs one split; set replications=1, not {cfg['replications']}")
+    ridge = cfg["downstream"]["ridge"]
+    if ridge is not None and not 0 < ridge < np.inf:
+        raise ValueError(f"downstream.ridge must be null (grid search) or finite and > 0, "
+                         f"got {ridge!r}")
     _, split_seed, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)
     split = _split(cfg, split_seed)
     if kind == "phoneme":
@@ -468,7 +471,7 @@ def run_realdata(cfg: dict, out_dir):
     for method, reducer, model_cfg in methods:
         pipe_cfg = PipelineConfig(
             bfae=model_cfg,
-            ridge=cfg["downstream"]["ridge"],
+            ridge=ridge,
             standardize=cfg["standardize"],
             variance_target=cfg["variance_target"],
             ae_lr=cfg["ae"]["lr"],

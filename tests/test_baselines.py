@@ -76,6 +76,12 @@ class TestPCA:
         with pytest.raises(ValueError, match="degenerate"):
             pca_fit(np.ones((5, 3)))
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, 2.0, np.nan])
+    def test_variance_target_outside_unit_interval_rejected(self, target):
+        data = np.random.default_rng(0).standard_normal((10, 4))
+        with pytest.raises(ValueError, match=r"variance_target must be in \(0, 1\]"):
+            pca_fit(data, target)
+
 
 class TestFPCA:
     def grid(self, m=20):
@@ -164,6 +170,11 @@ class TestFPCA:
     def test_degenerate_data(self):
         with pytest.raises(ValueError, match="degenerate"):
             fpca_fit(np.ones((5, 1, 6)), self.grid(6))
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, 2.0, np.nan])
+    def test_variance_target_outside_unit_interval_rejected(self, target):
+        with pytest.raises(ValueError, match=r"variance_target must be in \(0, 1\]"):
+            fpca_fit(self.gp_values(n=10, m=8), self.grid(8), target)
 
 
 def dense_reference(data, widths, activations, lr, epochs, seed, dual=False):
@@ -263,6 +274,23 @@ class TestDenseAE:
         data = np.random.default_rng(11).standard_normal((10, 6))
         with pytest.raises(ValueError, match="lr must be finite"):
             ae_fit(data, [6, 3, 6], lr=lr, epochs=5, seed=1)
+
+    @pytest.mark.parametrize("rows", [10, 12])  # the single layer is dual below 12 rows
+    def test_fewer_than_three_widths_rejected(self, rows):
+        data = np.random.default_rng(11).standard_normal((rows, 6))
+        with pytest.raises(ValueError, match="at least 2 layers"):
+            ae_fit(data, [6, 6], lr=0.01, epochs=5, seed=1)
+
+    @pytest.mark.parametrize("activations", [["tanh"], ["tanh", "tanh", "linear"]])
+    def test_one_activation_per_layer(self, activations):
+        data = np.random.default_rng(11).standard_normal((10, 6))
+        with pytest.raises(ValueError, match="need 2 activations, one per layer, got"):
+            ae_fit(data, [6, 3, 6], activations, lr=0.01, epochs=5, seed=1)
+
+    def test_negative_epochs_rejected(self):
+        data = np.random.default_rng(11).standard_normal((10, 6))
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+            ae_fit(data, [6, 3, 6], lr=0.01, epochs=-1, seed=1)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)

@@ -13,12 +13,17 @@ from bfae.cli import main
 from bfae.data import FunctionalDataset, load_csv, save_csv
 from bfae.experiments import (
     KINDS,
+    REALDATA_PATHS,
     _methods,
     _sim_config,
+    _standin,
     apply_overrides,
     config_hash,
     default_config,
     load_config,
+    run_benchmark,
+    run_realdata,
+    run_simulate,
     run_train,
 )
 from bfae.gp import SimConfig, sample_gp
@@ -47,6 +52,49 @@ FAST_REALDATA = [
     "--set", "ae.lr=0.01",
     "--set", "downstream.ridge=0.001",
 ]
+
+# the keys only the other family of kinds reads: a kind's config does not carry them
+SIM_ONLY = ("sim.n_features", "sim.interval", "sim.matern.sigma2", "sim.matern.rho",
+            "sim.matern.nu", "sim.noise_sd")
+REALDATA_ONLY = ("downstream.ridge", "standin", "paths.phoneme",
+                 "paths.adelaide_temperature", "paths.adelaide_demand")
+NOT_IN_SCHEMA = (
+    [(kind, key) for kind in ("sim1", "sim10", "custom") for key in REALDATA_ONLY]
+    + [("phoneme", key)
+       for key in SIM_ONLY + ("paths.adelaide_temperature", "paths.adelaide_demand")]
+    + [("adelaide", key) for key in SIM_ONLY + ("paths.phoneme",)]
+)
+
+
+def leaves(cfg: dict, prefix: str = ""):
+    """The dotted path of every value in ``cfg``."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+class ReadLog(dict):
+    """A config whose sections add the dotted path of every key read to ``reads``.
+
+    ``keys`` and ``__iter__`` are overridden so that ``**section`` takes its values
+    through ``__getitem__``, and is logged too."""
+
+    def __init__(self, cfg: dict, reads: set, prefix: str = ""):
+        super().__init__((key, ReadLog(value, reads, f"{prefix}{key}.")
+                          if isinstance(value, dict) else value) for key, value in cfg.items())
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        self.reads.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def keys(self):
+        return list(super().keys())
+
+    def __iter__(self):
+        return iter(self.keys())
 
 
 class TestConfigHandling:
@@ -110,14 +158,49 @@ class TestConfigHandling:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_carries_the_keys_its_builders_read(self, kind):
         cfg = default_config(kind)
-        sim = _sim_config(cfg, 0)
-        methods = _methods(cfg, sim.grid, sim.n_features, bfae_seed=0, with_none=True)
+        # the data each protocol fits: a real-data kind's first stand-in dataset
+        data = _standin(cfg)[0] if kind in REALDATA_PATHS else _sim_config(cfg, 0)
+        methods = _methods(cfg, data.grid, data.n_features, bfae_seed=0, with_none=True)
         assert [name for name, _, _ in methods] == [
             "none", "pca", "ae", "fpca", "bfae", "bfae_reduced"
         ]
         assert methods[-1][2].latent_shape == (
             cfg["bfae"]["latent_features"], cfg["bfae_reduced_points"]
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_leaf_is_read_by_a_command_of_its_kind(self, kind, tmp_path):
+        reads = {"schema_version"}  # read by load_config
+        cfg = apply_overrides(default_config(kind), [
+            "replications=1", "sim.n_samples=60", "sim.m_points=12", "bfae.latent_points=12",
+            "bfae.epochs=3", "bfae.lr=2.0", "bfae_reduced_points=4", "ae.epochs=3",
+        ])
+        written = run_simulate(ReadLog(cfg, reads), tmp_path / "simulate")
+        on_file = apply_overrides(cfg, [f"paths.dataset={json.dumps(str(written[0]))}",
+                                        "standardize=false"])
+        run_train(ReadLog(on_file, reads), tmp_path / "train")
+        run = run_realdata if kind in REALDATA_PATHS else run_benchmark
+        _, ok = run(ReadLog(cfg, reads), tmp_path / "run")
+        assert ok
+        unread = sorted(set(leaves(default_config(kind))) - reads)
+        assert not unread, f"no {kind} command reads {unread}"
+
+    @pytest.mark.parametrize("how", ["set", "config"])
+    @pytest.mark.parametrize("kind, key", NOT_IN_SCHEMA,
+                             ids=[f"{kind}-{key}" for kind, key in NOT_IN_SCHEMA])
+    def test_key_the_kind_does_not_read_is_an_error(self, kind, key, how, tmp_path):
+        if how == "set":
+            args = ["--kind", kind, "--set", f"{key}=1"]
+        else:
+            section = 1
+            for part in reversed(key.split(".")):
+                section = {part: section}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"schema_version": 1, "kind": kind, **section}))
+            args = ["--config", str(path)]
+        with pytest.raises(ValueError, match="unknown config key"):
+            main(["simulate", "--out", str(tmp_path / "out")] + args)
+        assert not (tmp_path / "out").exists()
 
     def test_config_hash_stable(self):
         a = default_config("sim1")
@@ -250,6 +333,31 @@ def test_invalid_ae_section_is_an_error_before_any_fit(command, kind, fast, sett
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=match):
         main([command, "--kind", kind, "--out", str(out)] + fast + ["--set", setting])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, fast", [
+    ("benchmark", "sim1", FAST_BENCH), ("realdata", "phoneme", FAST_REALDATA),
+    ("realdata", "adelaide", FAST_REALDATA),
+], ids=["benchmark", "phoneme", "adelaide"])
+@pytest.mark.parametrize("target", ["5", "0", "-1", "NaN"])
+def test_variance_target_outside_unit_interval_is_an_error_before_any_fit(command, kind, fast,
+                                                                          target, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"variance_target must be in \(0, 1\]"):
+        main([command, "--kind", kind, "--out", str(out)] + fast
+             + ["--set", f"variance_target={target}"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
+@pytest.mark.parametrize("ridge", ["-1", "0", "NaN", "Infinity"])
+def test_downstream_ridge_not_positive_is_an_error_before_any_fit(kind, ridge, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"downstream.ridge must be null \(grid search\) or "
+                                         r"finite and > 0"):
+        main(["realdata", "--kind", kind, "--out", str(out)] + FAST_REALDATA
+             + ["--set", f"downstream.ridge={ridge}"])
     assert not out.exists()
 
 
