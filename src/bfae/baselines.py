@@ -1,23 +1,21 @@
 """Comparison methods: PCA, functional PCA, and a dense autoencoder.
 
 PCA and the dense AE treat a multivariate functional sample as one flat
-``R*M`` vector; the dense AE is the BFAE's continuous-layer engine with unit
-quadrature weights.  FPCA works per feature under the quadrature inner product,
-with a shared explained-variance budget across features: eigenvalues are
-pooled over features and components retained greedily until the variance
-target is met.
+``R*M`` vector; the dense AE is the BFAE whose every boundary is a one-point
+grid, so its layers weigh nothing.  FPCA works per feature under the
+quadrature inner product, with a shared explained-variance budget across
+features: eigenvalues are pooled over features and components retained
+greedily until the variance target is met.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .grids import Grid
-from .layers import Activation, ContinuousLayer
-from .model import BFAEConfig, BFAEModel, check_lr, train
+from .model import BFAEConfig, BFAEModel, build, train
 
 __all__ = [
     "PCAModel",
@@ -28,7 +26,6 @@ __all__ = [
     "fpca_fit",
     "fpca_encode",
     "fpca_reconstruct",
-    "AEModel",
     "ae_widths_from_config",
     "ae_fit",
     "ae_reconstruct",
@@ -194,26 +191,9 @@ def fpca_reconstruct(model: FPCAModel, scores: np.ndarray) -> np.ndarray:
 # --- dense autoencoder ------------------------------------------------------------
 
 
-@dataclass
-class AEModel(BFAEModel):
-    """Plain fully connected autoencoder on flattened ``R*M`` vectors.
-
-    A dense layer is a continuous layer with one neuron on each side whose
-    grids have every quadrature weight equal to 1 (the counting measure), so
-    the AE runs on the BFAE's layer engine and training loop.  Its
-    ``latent_index`` is the bottleneck: the output of the narrowest layer.
-    """
-
-
 def ae_widths_from_config(config: BFAEConfig) -> list:
     """Mirror a BFAE architecture: width ``J_l * M_l`` at every boundary."""
     return [j * m for j, m in zip(config.feature_counts, config.grid_sizes)]
-
-
-def _unit_grid(width: int) -> Grid:
-    # ``width`` points spread over [0, width], so unit weights sum to the span
-    points = np.linspace(0.0, width, width) if width > 1 else np.array([0.5])
-    return Grid(points=points, quad_weights=np.ones(width))
 
 
 def ae_fit(
@@ -224,51 +204,35 @@ def ae_fit(
     epochs: int = 2000,
     seed: int = 0,
 ) -> tuple:
-    """Train by full-batch gradient descent; returns ``(model, history)``.
+    """Train a dense autoencoder on ``(n, d)`` rows by full-batch gradient
+    descent; returns ``(model, history)``.
 
-    ``widths`` lists at least 3 boundary widths (2 layers), and
-    ``activations``, when given, one activation per layer.  Weights start
+    The dense AE is the BFAE whose every boundary is a one-point grid: a
+    layer from ``widths[l]`` to ``widths[l + 1]`` values maps that many
+    features, each one sample with quadrature weight 1, so nothing is
+    weighed.  ``widths`` and ``activations`` (one per layer, the last
+    linear) are the model's ``feature_counts`` and ``activations``, and its
+    latent is the config's default layer ``ceil(L / 2)``.  Weights start
     Glorot-uniform, drawn layer by layer from one generator seeded with
-    ``seed``; biases start at zero.
+    ``seed``; biases start at zero.  So ``build(model.config)`` does not
+    redraw this start: it draws each layer from its own seed.
     """
-    check_lr(lr)
-    if not epochs >= 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be (n, d)")
-    widths = list(widths)
-    if len(widths) < 3:
-        raise ValueError(f"need at least 2 layers (3 widths), got widths {widths}")
-    if widths[0] != data.shape[1] or widths[-1] != data.shape[1]:
+    widths = tuple(widths)
+    config = BFAEConfig(feature_counts=widths, grid_sizes=(1,) * len(widths),
+                        activations=activations, lr=lr, epochs=epochs, seed=seed)
+    if widths[0] != data.shape[1]:
         raise ValueError("first and last widths must equal the data dimension")
-    if activations is None:
-        activations = ["tanh"] * (len(widths) - 2) + ["linear"]
-    if len(activations) != len(widths) - 1:
-        raise ValueError(f"need {len(widths) - 1} activations, one per layer, "
-                         f"got {len(activations)}")
+    model = build(config)
     rng = np.random.default_rng(seed)
-    grids = [_unit_grid(width) for width in widths]
-    layers = []
-    for ell in range(len(widths) - 1):
-        fan_in, fan_out = widths[ell], widths[ell + 1]
+    for layer in model.layers:
+        fan_out, fan_in = layer.matrix.shape
         c = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(
-            ContinuousLayer(
-                in_grid=grids[ell],
-                out_grid=grids[ell + 1],
-                weights=rng.uniform(-c, c, size=(1, 1, fan_out, fan_in)),
-                biases=np.zeros((1, fan_out)),
-                activation=Activation(activations[ell]),
-            )
-        )
-    # ``train`` reads only these optimization settings from ``model.config``
-    settings = SimpleNamespace(lr=lr, epochs=epochs, momentum=0.0)
-    model = AEModel(
-        layers=layers, latent_index=int(np.argmin(widths[1:])) + 1, config=settings
-    )
-    return model, train(model, data[:, None, :])
+        layer.matrix[...] = rng.uniform(-c, c, size=layer.matrix.shape)
+    return model, train(model, data[:, :, None])
 
 
-def ae_reconstruct(model: AEModel, data: np.ndarray) -> np.ndarray:
-    return model.reconstruct(np.asarray(data, dtype=np.float64)[:, None, :])[:, 0, :]
+def ae_reconstruct(model: BFAEModel, data: np.ndarray) -> np.ndarray:
+    return model.reconstruct(np.asarray(data, dtype=np.float64)[:, :, None])[:, :, 0]

@@ -126,27 +126,51 @@ def load_config(path) -> dict:
     return _merge(default_config(cfg.get("kind", "custom")), cfg)
 
 
-def _merge(cfg: dict, override: dict, prefix: str = "") -> dict:
+def _leaf_type(default):
+    """``(types, description)`` a leaf whose default is ``default`` takes, or
+    ``None`` for a ``None`` default, which takes any value."""
+    if default is None:
+        return None
+    if isinstance(default, bool):
+        return (bool,), "true or false"
+    if isinstance(default, int):
+        return (int,), "an integer"
+    if isinstance(default, float):
+        return (int, float), "a number"
+    return (type(default),), f"a {type(default).__name__}"
+
+
+def _merge(cfg: dict, override: dict, prefix: str = "", schema: dict = None) -> dict:
     """Merge ``override`` into ``cfg`` in place, section by section.
 
-    ``cfg`` is the schema: an unknown key, or a section given where a value
-    belongs (or the reverse), raises ``ValueError`` naming the dotted path.
+    ``schema`` (``cfg`` when not given) holds the defaults: an unknown key, a
+    section given where a value belongs (or the reverse), or a value whose
+    type is not its default's raises ``ValueError`` naming the dotted path.
+    A bool default takes only a bool; an int default an int; a float default
+    an int or a float, never a bool; a str or list default its own type; and
+    a ``None`` default any value.
     """
+    schema = cfg if schema is None else schema
     for key, value in override.items():
         path = prefix + key
-        if key not in cfg:
+        if key not in schema:
             import difflib  # error path only; keeps the package import lean
 
-            near = difflib.get_close_matches(key, list(cfg), n=1)
-            hint = f"did you mean {prefix + near[0]!r}?" if near else f"valid keys: {list(cfg)}"
+            near = difflib.get_close_matches(key, list(schema), n=1)
+            hint = f"did you mean {prefix + near[0]!r}?" if near else f"valid keys: {list(schema)}"
             raise ValueError(f"unknown config key {path!r}; {hint}")
-        if isinstance(cfg[key], dict) != isinstance(value, dict):
-            wanted = "a section" if isinstance(cfg[key], dict) else "a value"
+        default = schema[key]
+        if isinstance(default, dict) != isinstance(value, dict):
+            wanted = "a section" if isinstance(default, dict) else "a value"
             raise ValueError(f"config key {path!r} takes {wanted}, got {value!r}")
         if isinstance(value, dict):
-            _merge(cfg[key], value, path + ".")
-        else:
-            cfg[key] = deepcopy(value)
+            _merge(cfg[key], value, path + ".", default)
+            continue
+        leaf = _leaf_type(default)
+        if leaf is not None and (not isinstance(value, leaf[0])
+                                 or isinstance(value, bool) != isinstance(default, bool)):
+            raise ValueError(f"config key {path!r} takes {leaf[1]}, got {value!r}")
+        cfg[key] = deepcopy(value)
     return cfg
 
 
@@ -158,6 +182,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     and the schema, so it cannot change here.
     """
     kind, cfg = cfg["kind"], deepcopy(cfg)
+    schema = default_config(kind)
     for assignment in assignments:
         if "=" not in assignment:
             raise ValueError(f"override must look like key.path=value, got {assignment!r}")
@@ -168,7 +193,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             value = raw
         for key in reversed(dotted.split(".")):
             value = {key: value}
-        _merge(cfg, value)
+        _merge(cfg, value, schema=schema)
     if cfg["kind"] != kind:
         raise ValueError(f"kind is {kind!r}; start from default_config(kind) to change it")
     return cfg
@@ -440,7 +465,8 @@ def run_realdata(cfg: dict, out_dir):
     if cfg["replications"] != 1:
         raise ValueError(f"realdata runs one split; set replications=1, not {cfg['replications']}")
     ridge = cfg["downstream"]["ridge"]
-    if ridge is not None and not 0 < ridge < np.inf:
+    if ridge is not None and (isinstance(ridge, bool) or not isinstance(ridge, (int, float))
+                              or not 0 < ridge < np.inf):
         raise ValueError(f"downstream.ridge must be null (grid search) or finite and > 0, "
                          f"got {ridge!r}")
     _, split_seed, bfae_seed, _ = _derived_seeds(cfg["master_seed"], 0)

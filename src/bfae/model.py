@@ -113,15 +113,19 @@ class BFAEConfig:
             acts = ("tanh",) * (n_layers - 1) + ("linear",)
         acts = tuple(a.kind if isinstance(a, Activation) else str(a) for a in acts)
         if len(acts) != n_layers:
-            raise ValueError(f"need {n_layers} activations, got {len(acts)}")
+            raise ValueError(f"need {n_layers} activations, one per layer, got {len(acts)}")
         if acts[-1] != "linear":
             raise ValueError("output layer activation must be linear")
         a, b = self.interval
         if not b > a:
             raise ValueError("interval must satisfy b > a")
+        if isinstance(self.lr, bool):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
         check_lr(self.lr)
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be a whole number, got {self.epochs!r}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         object.__setattr__(self, "feature_counts", feats)
@@ -337,16 +341,20 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
     vector per layer) the step is along ``velocity = momentum * velocity +
     grads``.  With ``dual`` (and ``lr``) the first layer is ``dual``: it makes
     no cache and no ``velocity`` entry, and takes its step last.  The loss is
-    :func:`reconstruction_loss` up to rounding."""
+    :func:`reconstruction_loss` up to rounding.  The output layer must be
+    linear, as every ``BFAEConfig`` makes it: a workspace is refused
+    (``ValueError``) otherwise."""
     n = len(x)
     first = 0 if dual is None else 1
     if workspace is None:
+        kind = model.layers[-1].activation.kind
+        if kind != "linear":
+            raise ValueError(f"the output layer's activation is {kind!r}; it must be linear")
         # the first layer is passed the data weighted once per fit
         caches = [None] * first + [_TrainingCache(layer, n, weigh=ell > 0)
                                    for ell, layer in enumerate(model.layers) if ell >= first]
-        # the residual overwrites a linear output, which backward does not read
-        linear = model.layers[-1].activation.kind == "linear"
-        residual = caches[-1].output if linear else np.empty(x.shape)
+        # the residual overwrites the linear output, which backward does not read
+        residual = caches[-1].output
         upstream = np.empty(x.shape)
         # the loss gradient w.r.t. the output is the residual times (2 / n) q,
         # multiplied over (n, J*M) views: never broadcast over the M axis
@@ -478,6 +486,13 @@ def load_model(path) -> BFAEModel:
     shapes = doc["layer_shapes"]
     if len(shapes) != config.n_layers:
         raise ValueError(f"model file has {len(shapes)} layer shapes for {config.n_layers} layers")
+    feats, points = config.feature_counts, config.grid_sizes
+    for ell, shp in enumerate(shapes):
+        # weights (J_{l+1}, J_l, M_{l+1}, M_l) and biases (J_{l+1}, M_{l+1})
+        want = {"weights": [feats[ell + 1], feats[ell], points[ell + 1], points[ell]],
+                "biases": [feats[ell + 1], points[ell + 1]]}
+        if shp != want:
+            raise ValueError(f"{path}: layer {ell} shapes {shp} do not match its config's {want}")
     try:
         payload = base64.b64decode(doc["payload_b64"], validate=True)
     except binascii.Error as exc:

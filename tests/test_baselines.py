@@ -16,7 +16,7 @@ from bfae.baselines import (
 )
 from bfae.grids import inner_product, make_uniform_grid
 from bfae.layers import Activation
-from bfae.model import bottleneck_config, model_gradients
+from bfae.model import BFAEConfig, bottleneck_config, load_model, model_gradients, save_model
 
 
 class TestPCA:
@@ -233,8 +233,8 @@ class TestDenseAE:
         [
             ([6, 1, 6], ["tanh", "linear"]),                 # 1-wide bottleneck
             ([8, 4, 3, 8], ["tanh", "relu", "linear"]),     # three-layer stack
-            ([6, 3, 6], ["tanh", "sigmoid"]),               # non-linear output layer
-            ([6, 8, 6], ["tanh", "linear"]),                 # narrowest layer is the output
+            ([6, 3, 6], ["sigmoid", "linear"]),             # sigmoid hidden layer
+            ([6, 8, 6], ["tanh", "linear"]),                 # wider latent than the data
         ],
     )
     def test_matches_dense_reference(self, widths, activations):
@@ -244,21 +244,39 @@ class TestDenseAE:
         model, history = ae_fit(data, widths, activations, lr=0.03, epochs=60, seed=5)
         params, losses, forward = dense_reference(data, widths, activations, 0.03, 60, 5, dual)
         for layer, (w, b) in zip(model.layers, params):
-            np.testing.assert_array_equal(layer.weights, w.reshape(1, 1, *w.shape))
-            np.testing.assert_array_equal(layer.biases, b[None, :])
+            np.testing.assert_array_equal(layer.matrix, w)
+            np.testing.assert_array_equal(layer.bias, b)
         np.testing.assert_array_equal(ae_reconstruct(model, data), forward(data))
         np.testing.assert_allclose(history.losses, losses, rtol=1e-12, atol=0.0)
         primal, _, _ = dense_reference(data, widths, activations, 0.03, 60, 5)
         for layer, (w, b) in zip(model.layers, primal):
-            assert_near(layer.weights[0, 0], w)
-            assert_near(layer.biases[0], b)
+            assert_near(layer.matrix, w)
+            assert_near(layer.bias, b)
 
-    def test_narrowest_output_layer_encodes_to_reconstruction(self):
+    def test_layers_are_one_point_surfaces_of_a_real_config(self):
         data = np.random.default_rng(16).standard_normal((5, 6))
         model, _ = ae_fit(data, [6, 8, 6], lr=0.01, epochs=3, seed=6)
-        assert model.latent_index == 2
-        np.testing.assert_array_equal(model.encode(data[:, None, :])[:, 0, :],
-                                      ae_reconstruct(model, data))
+        assert isinstance(model.config, BFAEConfig)
+        assert model.config.grid_sizes == (1, 1, 1) and model.latent_index == 1
+        assert [layer.weights.shape for layer in model.layers] == [(8, 6, 1, 1), (6, 8, 1, 1)]
+        assert all(layer.quad is None for layer in model.layers)
+        assert model.encode(data[:, :, None]).shape == (5, 8, 1)
+
+    @pytest.mark.parametrize("activations", [["tanh", "sigmoid"], ["relu", "tanh"]])
+    def test_non_linear_output_layer_rejected(self, activations):
+        data = np.random.default_rng(11).standard_normal((10, 6))
+        with pytest.raises(ValueError, match="output layer activation must be linear"):
+            ae_fit(data, [6, 3, 6], activations, lr=0.01, epochs=5, seed=1)
+
+    def test_save_load_round_trips_bytes(self, tmp_path):
+        data = np.random.default_rng(17).standard_normal((9, 6))
+        model, _ = ae_fit(data, [6, 3, 6], lr=0.02, epochs=7, seed=8)
+        first = save_model(model, tmp_path / "ae.json")
+        loaded = load_model(first)
+        assert loaded.config == model.config and loaded.trained_epochs == 7
+        np.testing.assert_array_equal(ae_reconstruct(loaded, data), ae_reconstruct(model, data))
+        again = save_model(loaded, tmp_path / "again.json")
+        assert again.read_bytes() == first.read_bytes()
 
     def test_zero_lr_keeps_model(self):
         rng = np.random.default_rng(11)
@@ -266,7 +284,7 @@ class TestDenseAE:
         model, history = ae_fit(data, [6, 3, 6], lr=0.0, epochs=5, seed=1)
         params, _, _ = dense_reference(data, [6, 3, 6], ["tanh", "linear"], 0.0, 0, 1)
         for got, (w, _) in zip(model.layers, params):
-            np.testing.assert_array_equal(got.weights[0, 0], w)
+            np.testing.assert_array_equal(got.matrix, w)
         assert np.ptp(history.losses) == 0.0
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
@@ -296,7 +314,7 @@ class TestDenseAE:
         rng = np.random.default_rng(12)
         data = rng.standard_normal((7, 5))
         model, _ = ae_fit(data, [5, 3, 5], lr=0.0, epochs=0, seed=2)
-        _, grads = model_gradients(model, data[:, None, :])
+        _, grads = model_gradients(model, data[:, :, None])
 
         def loss_fn():
             out = ae_reconstruct(model, data)
@@ -304,7 +322,7 @@ class TestDenseAE:
 
         for ell, layer in enumerate(model.layers):
             gw, gb = grads[ell]
-            idx = (0, 0, 1, 2)
+            idx = (1, 2, 0, 0)
             fd = finite_difference_gradient(loss_fn, layer.weights, [idx])[idx]
             assert abs(gw[idx] - fd) / max(abs(fd), 1e-10) < 1e-5
             fd_b = finite_difference_gradient(loss_fn, layer.biases, [(0, 0)])[(0, 0)]
@@ -323,7 +341,7 @@ class TestDenseAE:
         rng = np.random.default_rng(14)
         data = rng.standard_normal((10, 6))
         model, _ = ae_fit(data, [6, 2, 6], lr=0.01, epochs=5, seed=4)
-        assert model.encode(data[:, None, :])[:, 0, :].shape == (10, 2)
+        assert model.encode(data[:, :, None])[:, :, 0].shape == (10, 2)
 
     def test_widths_mirror_bfae_config(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)

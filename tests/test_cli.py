@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,35 @@ class TestConfigHandling:
     def test_section_value_mismatch_rejected(self, assignment, wanted):
         with pytest.raises(ValueError, match=wanted):
             apply_overrides(default_config("sim1"), [assignment])
+
+    @pytest.mark.parametrize("kind, assignment, wanted", [
+        ("sim1", "replications=2.7", "'replications' takes an integer, got 2.7"),
+        ("sim1", "sim.n_samples=30.5", "'sim.n_samples' takes an integer, got 30.5"),
+        ("sim1", "bfae.epochs=3.9", "'bfae.epochs' takes an integer, got 3.9"),
+        ("sim1", "bfae.epochs=true", "'bfae.epochs' takes an integer, got True"),
+        ("sim1", "bfae.lr=true", "'bfae.lr' takes a number, got True"),
+        ("sim1", "bfae.lr=fast", "'bfae.lr' takes a number, got 'fast'"),
+        ("sim1", "split.shuffle=1", "'split.shuffle' takes true or false, got 1"),
+        ("sim1", "bfae.hidden_activation=3", "'bfae.hidden_activation' takes a str, got 3"),
+        ("sim1", "sim.interval=1", "'sim.interval' takes a list, got 1"),
+        ("phoneme", "standardize=0", "'standardize' takes true or false, got 0"),
+    ])
+    def test_value_of_another_type_than_the_default_rejected(self, kind, assignment, wanted):
+        with pytest.raises(ValueError, match=re.escape(f"config key {wanted}")):
+            apply_overrides(default_config(kind), [assignment])
+
+    def test_values_of_the_defaults_types_accepted(self, tmp_path):
+        # a float default takes an int, a None default anything; a file's
+        # values and later overrides are checked against the defaults too
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "phoneme",
+                                    "bfae": {"lr": 3}, "downstream": {"ridge": 0.5}}))
+        cfg = apply_overrides(load_config(path), [
+            "bfae.lr=0.25", "downstream.ridge=null", "paths.dataset=data.csv",
+            "split.train_fraction=1", "replications=1",
+        ])
+        assert cfg["bfae"]["lr"] == 0.25 and cfg["downstream"]["ridge"] is None
+        assert cfg["paths"]["dataset"] == "data.csv" and cfg["split"]["train_fraction"] == 1
 
     def test_kind_override_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -351,7 +381,7 @@ def test_variance_target_outside_unit_interval_is_an_error_before_any_fit(comman
 
 
 @pytest.mark.parametrize("kind", ["phoneme", "adelaide"])
-@pytest.mark.parametrize("ridge", ["-1", "0", "NaN", "Infinity"])
+@pytest.mark.parametrize("ridge", ["-1", "0", "NaN", "Infinity", "true", '"1"'])
 def test_downstream_ridge_not_positive_is_an_error_before_any_fit(kind, ridge, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=r"downstream.ridge must be null \(grid search\) or "

@@ -16,7 +16,7 @@ from test_train_reference import (
 
 from bfae.baselines import ae_fit
 from bfae.grids import make_uniform_grid
-from bfae.layers import layer_forward
+from bfae.layers import Activation, layer_forward
 from bfae.model import (
     BFAEConfig,
     TrainingDiverged,
@@ -81,6 +81,16 @@ class TestConfig:
     def test_lr_must_be_finite_and_nonnegative(self, lr):
         with pytest.raises(ValueError, match="lr must be finite"):
             bottleneck_config(1, 9, 1, 3, lr=lr)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("epochs", 3.9, "epochs must be a whole number, got 3.9"),
+        ("epochs", True, "epochs must be a whole number, got True"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("lr", True, "lr must be a number, got True"),
+    ])
+    def test_epochs_and_lr_must_be_numbers_of_their_kind(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            bottleneck_config(1, 9, 1, 3, **{field: value})
 
     def test_bottleneck_helper(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)
@@ -235,6 +245,18 @@ class TestTrain:
         history = train(model, x)
         assert np.ptp(history.losses) == 0.0
         np.testing.assert_array_equal(model.layers[0].weights, w0)
+
+    def test_hand_built_non_linear_output_is_rejected(self):
+        # a full batch on the dual side: the rejected fit folds nothing in
+        model = build(bottleneck_config(1, 9, 1, 4, lr=0.1, epochs=3, seed=25))
+        model.layers[-1].activation = Activation("sigmoid")
+        x = np.random.default_rng(26).standard_normal((6, 1, 9))
+        before = [layer.params.tobytes() for layer in model.layers]
+        for call in (model_gradients, train):
+            with pytest.raises(ValueError, match="output layer's activation is 'sigmoid'"):
+                call(model, x)
+        assert model.trained_epochs == 0
+        assert [layer.params.tobytes() for layer in model.layers] == before
 
     def test_small_problem_descends(self):
         cfg = bottleneck_config(1, 9, 1, 4, hidden="linear", lr=2.0, epochs=500, seed=5)
@@ -495,6 +517,19 @@ class TestSerialization:
         doc["payload_b64"] = base64.b64encode(payload.astype("<f8").tobytes()).decode("ascii")
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="1 layer shapes for 2 layers"):
+            load_model(path)
+
+    def test_rejects_layer_shapes_that_differ_from_the_config(self, tmp_path):
+        # 3x4 curves through a 1x4 latent, relabelled as a 2x4 latent: the
+        # relabelled layers are consistent and the payload keeps its size
+        model = build(bottleneck_config(3, 4, 1, 4, seed=3))
+        path = save_model(model, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["layer_shapes"] = [{"weights": [2, 2, 4, 4], "biases": [2, 4]},
+                               {"weights": [2, 1, 4, 4], "biases": [2, 4]}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"m\.json: layer 0 shapes .* do not match its "
+                                             r"config's .*'weights': \[1, 3, 4, 4\]"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, match", [

@@ -257,7 +257,7 @@ def test_unit_weight_ae_matches_reference_loop(widths):
     # 12 curves: the 6-wide AE is primal (12 = 2 * 6), the 8-wide one dual
     data = np.random.default_rng(11).standard_normal((12, widths[0]))
     start, _ = ae_fit(data, widths, lr=0.05, epochs=0, seed=12)
-    (losses, params), primal = reference_fits(start, data[:, None, :], 0.05, 50)
+    (losses, params), primal = reference_fits(start, data[:, :, None], 0.05, 50)
     model, history = ae_fit(data, widths, lr=0.05, epochs=50, seed=12)
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
