@@ -212,10 +212,11 @@ def ae_fit(
     features, each one sample with quadrature weight 1, so nothing is
     weighed.  ``widths`` and ``activations`` (one per layer, the last
     linear) are the model's ``feature_counts`` and ``activations``, and its
-    latent is the config's default layer ``ceil(L / 2)``.  Weights start
-    Glorot-uniform, drawn layer by layer from one generator seeded with
-    ``seed``; biases start at zero.  So ``build(model.config)`` does not
-    redraw this start: it draws each layer from its own seed.
+    latent is the config's default layer ``ceil(L / 2)``.  The model starts
+    as :func:`build` starts it: layer ``l``'s weights from ``seed + l`` by the
+    ``"uniform"`` scheme, which on these unit one-point grids is
+    Glorot-uniform, and zero biases.  So ``build(model.config)`` redraws
+    this start.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -226,11 +227,6 @@ def ae_fit(
     if widths[0] != data.shape[1]:
         raise ValueError("first and last widths must equal the data dimension")
     model = build(config)
-    rng = np.random.default_rng(seed)
-    for layer in model.layers:
-        fan_out, fan_in = layer.matrix.shape
-        c = np.sqrt(6.0 / (fan_in + fan_out))
-        layer.matrix[...] = rng.uniform(-c, c, size=layer.matrix.shape)
     return model, train(model, data[:, :, None])
 
 

@@ -22,6 +22,7 @@ from .grids import Grid
 
 __all__ = [
     "ACTIVATION_KINDS",
+    "INIT_SCHEMES",
     "TILE_BELOW",
     "Activation",
     "ContinuousLayer",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 ACTIVATION_KINDS = ("relu", "tanh", "sigmoid", "linear")
+INIT_SCHEMES = ("uniform", "zeros")
 
 # A constant multiplier of a (batch, row) array is tiled to the batch when the
 # row is shorter than this, and broadcast as one row otherwise: numpy's
@@ -335,14 +337,19 @@ def init_layer(
     scheme: str = "uniform",
     seed: int = 0,
 ) -> ContinuousLayer:
-    """Create a layer with zero biases and scheme-initialized surfaces.
+    """Create a layer with zero biases and surfaces started by ``scheme``, one
+    of :data:`INIT_SCHEMES`.
 
     ``"uniform"`` draws surface values from ``U[-c, c]`` with
     ``c = sqrt(6 / ((j_in + j_out) * mass)) / mass`` where ``mass`` is the
     input grid's total quadrature weight (the interval length on a regular
-    grid): a fan-based bound rescaled to compensate for quadrature mass.
+    grid): a fan-based bound rescaled to compensate for quadrature mass.  On
+    one-point grids of weight 1 (the dense AE) ``mass`` is 1 and ``c`` is
+    Glorot's ``sqrt(6 / (fan_in + fan_out))`` (Glorot & Bengio, AISTATS 2010).
     ``"zeros"`` starts all parameters at zero.
     """
+    if scheme not in INIT_SCHEMES:
+        raise ValueError(f"unknown init scheme {scheme!r}; choose from {INIT_SCHEMES}")
     if isinstance(activation, str):
         activation = Activation(activation)
     if j_in < 1 or j_out < 1:
@@ -352,10 +359,8 @@ def init_layer(
         mass = float(in_grid.quad_weights.sum())
         c = np.sqrt(6.0 / ((j_in + j_out) * mass)) / mass
         weights = np.random.default_rng(seed).uniform(-c, c, size=shape)
-    elif scheme == "zeros":
-        weights = np.zeros(shape)
     else:
-        raise ValueError(f"unknown init scheme {scheme!r}")
+        weights = np.zeros(shape)
     biases = np.zeros((j_out, len(out_grid)))
     return ContinuousLayer(
         in_grid=in_grid, out_grid=out_grid,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .grids import Grid, make_uniform_grid
 from .layers import (
+    INIT_SCHEMES,
     Activation,
     ContinuousLayer,
     LayerCache,
@@ -111,11 +112,14 @@ class BFAEConfig:
         acts = self.activations
         if acts is None:
             acts = ("tanh",) * (n_layers - 1) + ("linear",)
-        acts = tuple(a.kind if isinstance(a, Activation) else str(a) for a in acts)
+        acts = tuple((a if isinstance(a, Activation) else Activation(str(a))).kind for a in acts)
         if len(acts) != n_layers:
             raise ValueError(f"need {n_layers} activations, one per layer, got {len(acts)}")
         if acts[-1] != "linear":
             raise ValueError("output layer activation must be linear")
+        if self.init_scheme not in INIT_SCHEMES:
+            raise ValueError(
+                f"unknown init scheme {self.init_scheme!r}; choose from {INIT_SCHEMES}")
         a, b = self.interval
         if not b > a:
             raise ValueError("interval must satisfy b > a")
@@ -179,12 +183,19 @@ class TrainHistory:
 
 @dataclass
 class BFAEModel:
-    """Encoder (layers ``1..latent_index``) plus decoder (the rest)."""
+    """Encoder (layers ``1..latent_index``) plus decoder (the rest).
+
+    ``config`` describes the model whole: ``build(model.config)`` redraws its
+    start, and ``latent_index`` is read from it.
+    """
 
     layers: list
-    latent_index: int
     config: BFAEConfig
     trained_epochs: int = 0
+
+    @property
+    def latent_index(self) -> int:
+        return self.config.latent_index
 
     @property
     def data_grid(self) -> Grid:
@@ -260,7 +271,7 @@ def build(config: BFAEConfig) -> BFAEModel:
         )
         for ell, (in_grid, out_grid, activation) in enumerate(_layer_frames(config))
     ]
-    return BFAEModel(layers=layers, latent_index=config.latent_index, config=config)
+    return BFAEModel(layers=layers, config=config)
 
 
 def reconstruction_loss(x: np.ndarray, xhat: np.ndarray, grid: Grid) -> float:
@@ -444,6 +455,9 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 
 # --- serialization -------------------------------------------------------------
 
+# the top-level keys of a format-1 model file, in the order save_model writes them
+_FILE_KEYS = ("format_version", "config", "trained_epochs", "layer_shapes", "dtype", "payload_b64")
+
 
 def save_model(model: BFAEModel, path) -> Path:
     """Write a model as JSON: config + shapes header + base64 row-major payload.
@@ -472,10 +486,23 @@ def save_model(model: BFAEModel, path) -> Path:
 
 
 def load_model(path) -> BFAEModel:
-    """Inverse of :func:`save_model`; reconstruction is bitwise identical."""
+    """Inverse of :func:`save_model`; reconstruction is bitwise identical.
+
+    A format-1 file holds exactly the keys :func:`save_model` writes, with
+    ``dtype`` ``"float64"`` and ``trained_epochs`` a whole number ``>= 0``.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model file version: {doc.get('format_version')}")
+    missing = [key for key in _FILE_KEYS if key not in doc]
+    unknown = sorted(set(doc) - set(_FILE_KEYS))
+    if missing or unknown:
+        raise ValueError(f"{path}: model file keys missing {missing}, unknown {unknown}")
+    if doc["dtype"] != "float64":
+        raise ValueError(f"{path}: dtype must be 'float64', got {doc['dtype']!r}")
+    epochs = doc["trained_epochs"]
+    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 0:
+        raise ValueError(f"{path}: trained_epochs must be a whole number >= 0, got {epochs!r}")
     block = doc["config"]
     names = [f.name for f in fields(BFAEConfig)] + ["batch_size"]
     if set(block) != set(names):
@@ -512,9 +539,4 @@ def load_model(path) -> BFAEModel:
             params.append(flat[offset : offset + size].reshape(shape))
             offset += size
         layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
-    return BFAEModel(
-        layers=layers,
-        latent_index=config.latent_index,
-        config=config,
-        trained_epochs=doc.get("trained_epochs", 0),
-    )
+    return BFAEModel(layers=layers, config=config, trained_epochs=epochs)

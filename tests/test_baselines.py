@@ -178,9 +178,9 @@ class TestFPCA:
 
 
 def dense_reference(data, widths, activations, lr, epochs, seed, dual=False):
-    """The dense AE as plain matrix algebra: Glorot-uniform weights drawn layer
-    by layer from one generator, zero biases, then full-batch gradient descent
-    on the mean squared reconstruction error.  With ``dual`` the first layer
+    """The dense AE as plain matrix algebra: Glorot-uniform weights, layer ``l``
+    drawn from ``default_rng(seed + l)``, zero biases, then full-batch gradient
+    descent on the mean squared reconstruction error.  With ``dual`` the first layer
     is ``W0 + C.T X``, ``b0 + C.sum(0)`` over the data ``X``: its pre-activation
     is ``(X X.T + 1) C + (X W0.T + b0)``, it steps ``C``, and ``C`` goes into
     its parameters after the last epoch.
@@ -188,10 +188,10 @@ def dense_reference(data, widths, activations, lr, epochs, seed, dual=False):
     Returns ``(params, losses, forward)`` with ``params`` a list of
     ``[weights (out, in), biases (out,)]`` and ``forward(x)`` the network output.
     """
-    rng = np.random.default_rng(seed)
     params = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    for ell, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         c = np.sqrt(6.0 / (fan_in + fan_out))
+        rng = np.random.default_rng(seed + ell)
         params.append([rng.uniform(-c, c, size=(fan_out, fan_in)), np.zeros(fan_out)])
     acts = [Activation(a) for a in activations]
     w0, b0 = params[0]

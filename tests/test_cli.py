@@ -368,6 +368,23 @@ def test_invalid_ae_section_is_an_error_before_any_fit(command, kind, fast, sett
 
 @pytest.mark.parametrize("command, kind, fast", [
     ("benchmark", "sim1", FAST_BENCH), ("realdata", "phoneme", FAST_REALDATA),
+    ("train", "sim1", FAST_BENCH),
+], ids=["benchmark", "realdata", "train"])
+@pytest.mark.parametrize("setting, match", [
+    ("bfae.init_scheme=glorot", r"unknown init scheme 'glorot'; choose from \('uniform'"),
+    ("bfae.hidden_activation=relu2", r"unknown activation 'relu2'; choose from \('relu'"),
+], ids=["init_scheme", "hidden_activation"])
+def test_unknown_bfae_name_is_an_error_before_any_fit(command, kind, fast, setting, match,
+                                                      tmp_path):
+    # the BFAE config checks its names: no method is fitted, no failure cell written
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        main([command, "--kind", kind, "--out", str(out)] + fast + ["--set", setting])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, fast", [
+    ("benchmark", "sim1", FAST_BENCH), ("realdata", "phoneme", FAST_REALDATA),
     ("realdata", "adelaide", FAST_REALDATA),
 ], ids=["benchmark", "phoneme", "adelaide"])
 @pytest.mark.parametrize("target", ["5", "0", "-1", "NaN"])

@@ -1,6 +1,7 @@
 import base64
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from bfae.grids import make_uniform_grid
 from bfae.layers import Activation, layer_forward
 from bfae.model import (
     BFAEConfig,
+    BFAEModel,
     TrainingDiverged,
     bottleneck_config,
     build,
@@ -92,11 +94,61 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             bottleneck_config(1, 9, 1, 3, **{field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("init_scheme", "bogus", r"unknown init scheme 'bogus'; choose from \('uniform', "),
+        ("init_scheme", "glorot", "unknown init scheme 'glorot'"),
+        ("activations", ("relu2", "linear"), "unknown activation 'relu2'"),
+        ("activations", ("tanh", "Linear"), "unknown activation 'Linear'"),
+    ])
+    def test_names_are_checked(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            BFAEConfig(feature_counts=(1, 1, 1), grid_sizes=(9, 9, 9), **{field: value})
+
     def test_bottleneck_helper(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)
         assert cfg.feature_counts == (10, 4, 4, 10)
         assert cfg.grid_sizes == (50, 10, 10, 50)
         assert cfg.activations == ("tanh", "tanh", "linear")
+
+
+class TestModelIsItsConfig:
+    @pytest.mark.parametrize("config", [
+        bottleneck_config(2, 8, 1, 4, seed=3),
+        bottleneck_config(1, 6, 2, 1, n_layers=4, hidden="relu", seed=11),
+        bottleneck_config(2, 5, 1, 3, init_scheme="zeros"),
+    ], ids=["2-layer", "4-layer", "zeros"])
+    def test_build_of_the_config_redraws_the_start(self, config):
+        model = build(config)
+        for layer, again in zip(model.layers, build(model.config).layers, strict=True):
+            np.testing.assert_array_equal(layer.params, again.params)
+
+    def test_build_of_a_dense_ae_config_redraws_its_start(self):
+        data = np.random.default_rng(3).standard_normal((7, 6))
+        model, _ = ae_fit(data, [6, 4, 2, 4, 6], ["tanh", "relu", "sigmoid", "linear"],
+                          epochs=0, seed=5)
+        for layer, again in zip(model.layers, build(model.config).layers, strict=True):
+            np.testing.assert_array_equal(layer.params, again.params)
+
+    @pytest.mark.parametrize("latent", [1, 2, 3])
+    def test_latent_index_is_the_configs_through_a_round_trip(self, latent, tmp_path):
+        config = replace(bottleneck_config(1, 8, 2, 4, n_layers=4, seed=2), latent_index=latent)
+        model = build(config)
+        loaded = load_model(save_model(model, tmp_path / "m.json"))
+        x = np.random.default_rng(latent).standard_normal((5, 1, 8))
+        for each in (model, loaded):
+            assert each.latent_index == each.config.latent_index == latent
+            np.testing.assert_array_equal(each.encode(x), model._apply(model.layers[:latent], x))
+        np.testing.assert_array_equal(loaded.reconstruct(x), model.reconstruct(x))
+
+    def test_latent_index_is_not_stored_apart_from_the_config(self):
+        model = build(bottleneck_config(1, 8, 2, 4, n_layers=4))
+        with pytest.raises(TypeError, match="latent_index"):
+            BFAEModel(model.layers, model.config, latent_index=1)
+        with pytest.raises(AttributeError):
+            model.latent_index = 1
+        data = np.random.default_rng(1).standard_normal((4, 6))
+        dense, _ = ae_fit(data, [6, 3, 2, 3, 6], epochs=0)
+        assert dense.latent_index == dense.config.latent_index == 2
 
 
 class TestForwardEncode:
@@ -544,6 +596,27 @@ class TestSerialization:
         edit(doc["config"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.pop("trained_epochs"), r"missing \['trained_epochs'\], unknown \[\]"),
+        (lambda doc: doc.pop("layer_shapes"), r"missing \['layer_shapes'\]"),
+        (lambda doc: doc.pop("payload_b64"), r"missing \['payload_b64'\]"),
+        (lambda doc: doc.pop("dtype"), r"missing \['dtype'\]"),
+        (lambda doc: doc.update(notes="x"), r"missing \[\], unknown \['notes'\]"),
+        (lambda doc: doc.update(dtype="float32"), "dtype must be 'float64', got 'float32'"),
+        (lambda doc: doc.update(trained_epochs="abc"), "trained_epochs .* got 'abc'"),
+        (lambda doc: doc.update(trained_epochs=-3), "trained_epochs .* got -3"),
+        (lambda doc: doc.update(trained_epochs=2.5), "trained_epochs .* got 2.5"),
+        (lambda doc: doc.update(trained_epochs=True), "trained_epochs .* got True"),
+    ], ids=["no-trained-epochs", "no-layer-shapes", "no-payload", "no-dtype", "unknown-key",
+            "float32", "epochs-text", "epochs-negative", "epochs-fraction", "epochs-bool"])
+    def test_rejects_top_level_keys_that_differ_from_format_1(self, edit, match, tmp_path):
+        path = save_model(build(bottleneck_config(1, 5, 1, 2)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"m\.json: .*" + match):
             load_model(path)
 
     @pytest.mark.parametrize("cut", [16, 4], ids=["whole-values", "part-value"])

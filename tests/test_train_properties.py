@@ -4,9 +4,11 @@ activations and momenta (the dual loop where ``train`` keeps the first layer
 in dual form, and the primal loop within ``DUAL_RTOL`` there), and their
 losses equal ``reconstruction_loss`` to rounding and each other bit for bit;
 ``ae_fit`` equals the plain matrix algebra of
-``test_baselines.dense_reference`` at random widths and hidden activations.
+``test_baselines.dense_reference`` at random widths and hidden activations;
+and no 2-layer model reconstructs below the weighted-PCA rank floor.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from bfae.baselines import ae_fit, ae_reconstruct  # noqa: E402
 from bfae.layers import ACTIVATION_KINDS  # noqa: E402
 from bfae.model import (  # noqa: E402
     DIVERGENCE_FACTOR,
+    TrainingDiverged,
     bottleneck_config,
     build,
     model_gradients,
@@ -140,3 +143,49 @@ def test_ae_fit_matches_dense_reference(problem):
                                                                epochs, seed)[0]):
             assert_near(layer.matrix, w)
             assert_near(layer.bias, b)
+
+
+@st.composite
+def two_layer_problems(draw):
+    """``(config, data)``: a 2-layer model at any hidden activation, and its data."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 9))
+    config = bottleneck_config(
+        r, m,
+        latent_features=draw(st.integers(1, 2)),
+        latent_points=draw(st.integers(1, 4)),
+        hidden=draw(st.sampled_from(ACTIVATION_KINDS)),
+        lr=draw(st.floats(0.01, 1.0)),
+        epochs=draw(st.integers(0, 30)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = rng.standard_normal((draw(st.integers(2, 12)), r, m)) + rng.standard_normal((r, m))
+    return config, data
+
+
+def rank_floor(x, quad_weights, rank):
+    """The least mean loss of any reconstruction in an affine space of dimension
+    ``rank``: the centred data, each value times the root of its quadrature
+    weight, keep their top ``rank`` singular values (Eckart–Young)."""
+    n = len(x)
+    flat = x.reshape(n, -1)
+    scaled = (flat - flat.mean(axis=0)) * np.sqrt(np.tile(quad_weights, x.shape[1]))
+    svals = np.linalg.svd(scaled, compute_uv=False)
+    return float((svals[rank:] ** 2).sum() / n)
+
+
+@PROPERTY
+@given(two_layer_problems())
+def test_two_layer_loss_never_goes_below_the_rank_floor(problem):
+    # a linear output layer puts every reconstruction in an affine space of
+    # dimension J'*M', the latent's size, whatever the hidden activation
+    config, x = problem
+    model = build(config)
+    try:
+        train(model, x)
+    except TrainingDiverged:
+        assume(False)
+    floor = rank_floor(x, model.data_grid.quad_weights, math.prod(config.latent_shape))
+    loss = reconstruction_loss(x, model.reconstruct(x), model.data_grid)
+    assert loss >= floor * (1 - 1e-10)
