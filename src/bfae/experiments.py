@@ -34,7 +34,6 @@ __all__ = [
     "default_config",
     "load_config",
     "apply_overrides",
-    "apply_paper_scale",
     "config_hash",
     "run_simulate",
     "run_train",
@@ -197,13 +196,6 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         _merge(cfg, value, schema=schema)
     if cfg["kind"] != kind:
         raise ValueError(f"kind is {kind!r}; start from default_config(kind) to change it")
-    return cfg
-
-
-def apply_paper_scale(cfg: dict) -> dict:
-    """Full replication count (100); desk runs default to far fewer."""
-    cfg = deepcopy(cfg)
-    cfg["replications"] = 100
     return cfg
 
 

@@ -457,6 +457,9 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 
 # the top-level keys of a format-1 model file, in the order save_model writes them
 _FILE_KEYS = ("format_version", "config", "trained_epochs", "layer_shapes", "dtype", "payload_b64")
+# the top-level values a format-1 file must hold before their contents are read
+_FILE_TYPES = (("config", dict, "object"), ("layer_shapes", list, "array"),
+               ("payload_b64", str, "string"))
 
 
 def save_model(model: BFAEModel, path) -> Path:
@@ -492,8 +495,10 @@ def load_model(path) -> BFAEModel:
     ``dtype`` ``"float64"`` and ``trained_epochs`` a whole number ``>= 0``.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file holds a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != 1:
-        raise ValueError(f"unsupported model file version: {doc.get('format_version')}")
+        raise ValueError(f"{path}: unsupported model file version: {doc.get('format_version')}")
     missing = [key for key in _FILE_KEYS if key not in doc]
     unknown = sorted(set(doc) - set(_FILE_KEYS))
     if missing or unknown:
@@ -503,16 +508,20 @@ def load_model(path) -> BFAEModel:
     epochs = doc["trained_epochs"]
     if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 0:
         raise ValueError(f"{path}: trained_epochs must be a whole number >= 0, got {epochs!r}")
+    for key, kind, name in _FILE_TYPES:
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"{path}: {key} must be a JSON {name}, got {type(doc[key]).__name__}")
     block = doc["config"]
     names = [f.name for f in fields(BFAEConfig)] + ["batch_size"]
     if set(block) != set(names):
-        raise ValueError(f"model file config keys {sorted(block)} differ from {names}")
+        raise ValueError(f"{path}: model file config keys {sorted(block)} differ from {names}")
     if block.pop("batch_size") is not None:
-        raise ValueError("model file batch_size must be null: training is full batch")
+        raise ValueError(f"{path}: model file batch_size must be null: training is full batch")
     config = BFAEConfig(**block)
     shapes = doc["layer_shapes"]
     if len(shapes) != config.n_layers:
-        raise ValueError(f"model file has {len(shapes)} layer shapes for {config.n_layers} layers")
+        raise ValueError(f"{path}: model file has {len(shapes)} layer shapes "
+                         f"for {config.n_layers} layers")
     feats, points = config.feature_counts, config.grid_sizes
     for ell, shp in enumerate(shapes):
         # weights (J_{l+1}, J_l, M_{l+1}, M_l) and biases (J_{l+1}, M_{l+1})

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import bfae
-from bfae.cli import main
+from bfae.cli import _parser, main
 from bfae.data import FunctionalDataset, load_csv, save_csv
 from bfae.experiments import (
     KINDS,
@@ -252,7 +253,7 @@ class TestSimulateCommand:
         assert (out / "sim1_dataset.grid.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        args = ["simulate", "--kind", "sim1", "--seed", "3",
+        args = ["simulate", "--kind", "sim1", "--set", "master_seed=3",
                 "--set", "sim.n_samples=5", "--set", "sim.m_points=7"]
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
@@ -412,23 +413,50 @@ def test_downstream_ridge_not_positive_is_an_error_before_any_fit(kind, ridge, t
     ("simulate", "sim1", FAST_BENCH), ("train", "sim1", FAST_BENCH),
     ("realdata", "phoneme", FAST_REALDATA),
 ], ids=["simulate", "train", "realdata"])
-@pytest.mark.parametrize("flags, match", [
-    (["--jobs", "-5"], "got --jobs -5"), (["--jobs", "0"], "got --jobs 0"),
-    (["--jobs", "2"], "got --jobs 2"), (["--paper-scale"], "got --paper-scale"),
-], ids=["-5", "0", "2", "paper-scale"])
-def test_jobs_outside_benchmark_is_an_error(command, kind, fast, flags, match, tmp_path):
+@pytest.mark.parametrize("jobs", ["-5", "0", "1", "2"])
+def test_jobs_outside_benchmark_is_an_error(command, kind, fast, jobs, tmp_path, capsys):
+    # these commands run once in one process: argparse does not know --jobs there
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=f"--jobs and --paper-scale apply to bfae benchmark "
-                                         f"only.*{match}"):
-        main([command, "--kind", kind, "--out", str(out)] + flags + fast)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--kind", kind, "--out", str(out), "--jobs", jobs] + fast)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_jobs_one_is_accepted_outside_benchmark(tmp_path):
-    out = tmp_path / "sim"
-    assert main(["simulate", "--kind", "sim1", "--out", str(out), "--jobs", "1",
-                 "--set", "sim.n_samples=4", "--set", "sim.m_points=5"]) == 0
-    assert (out / "sim1_dataset.csv").exists()
+@pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "realdata"])
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--paper-scale"]], ids=["seed", "paper-scale"])
+def test_removed_flags_are_usage_errors(command, flags, tmp_path, capsys):
+    # --set master_seed=N and --set replications=100 are the one way to set these
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--out", str(out)] + flags)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_command_defines_exactly_its_flags():
+    commands = next(action.choices for action in _parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    common = {"--config", "--kind", "--out", "--set"}
+    wanted = {"simulate": common, "train": common, "realdata": common,
+              "benchmark": common | {"--jobs"}}
+    flags = {name: {flag for action in parser._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, parser in commands.items()}
+    assert flags == wanted
+
+
+@pytest.mark.parametrize("command, kind", [("simulate", "sim10"), ("simulate", "sim1"),
+                                           ("benchmark", "sim1"), ("realdata", "phoneme")])
+def test_kind_with_config_is_an_error(command, kind, tmp_path):
+    # the file names its own kind; --kind picks the built-in defaults only without one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "sim1"}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"names its own kind; leave out --kind {kind}"):
+        main([command, "--config", str(path), "--kind", kind, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_importing_experiments_leaves_the_process_pool_out():
@@ -468,7 +496,7 @@ class TestBenchmarkCommand:
         assert len(lines) == 1 + 12  # M rows
 
     def test_rerun_byte_identical_and_jobs_invariant(self, tmp_path):
-        args = ["benchmark", "--kind", "sim1", "--seed", "9"] + FAST_BENCH
+        args = ["benchmark", "--kind", "sim1", "--set", "master_seed=9"] + FAST_BENCH
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
         main(args + ["--out", str(tmp_path / "c"), "--jobs", "2"])
@@ -598,7 +626,7 @@ class TestRealdataCommand:
                   "--set", "standin=false"])
 
     def test_realdata_rerun_byte_identical(self, tmp_path):
-        args = ["realdata", "--kind", "phoneme", "--seed", "4"] + FAST_REALDATA
+        args = ["realdata", "--kind", "phoneme", "--set", "master_seed=4"] + FAST_REALDATA
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "report.csv").read_bytes() == (

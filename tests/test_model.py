@@ -619,6 +619,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"m\.json: .*" + match):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: [doc], "a model file holds a JSON object, got list"),
+        (lambda doc: {**doc, "config": 5}, "config must be a JSON object, got int"),
+        (lambda doc: {**doc, "layer_shapes": 3}, "layer_shapes must be a JSON array, got int"),
+        (lambda doc: {**doc, "payload_b64": 5}, "payload_b64 must be a JSON string, got int"),
+    ], ids=["list", "config-int", "layer-shapes-int", "payload-int"])
+    def test_rejects_top_level_values_of_the_wrong_type(self, edit, match, tmp_path):
+        path = save_model(build(bottleneck_config(1, 5, 1, 2)), tmp_path / "m.json")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=r"m\.json: " + match):
+            load_model(path)
+
     @pytest.mark.parametrize("cut", [16, 4], ids=["whole-values", "part-value"])
     def test_rejects_a_truncated_payload(self, cut, tmp_path):
         path = save_model(build(bottleneck_config(1, 8, 1, 4, seed=3)), tmp_path / "m.json")
