@@ -171,15 +171,15 @@ def save_csv(dataset: FunctionalDataset, path) -> Path:
     return path
 
 
-def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
+def load_csv(path, expect_m=None) -> FunctionalDataset:
     """Load a dataset written by :func:`save_csv`.
 
     Parameters
     ----------
     path : str or Path
         CSV file; the ``.grid.json`` sidecar must sit next to it.
-    expect_features, expect_m : optional
-        If given, validate feature names / number of timepoints.
+    expect_m : int, optional
+        If given, the number of timepoints the sidecar must hold.
     """
     path = Path(path)
     if not path.exists():
@@ -238,9 +238,6 @@ def load_csv(path, expect_features=None, expect_m=None) -> FunctionalDataset:
     if any(block is None for block in blocks):
         raise _bad_cell(path)
     feature_names = list(next(iter(samples.values()))[1])
-    if expect_features is not None and feature_names != list(expect_features):
-        raise ValueError(f"{path}: expected features {list(expect_features)}, "
-                         f"got {feature_names}")
     for sid, (_, feats) in samples.items():
         if list(feats) != feature_names:
             raise ValueError(f"{path}: sample {sid} has features {list(feats)} "

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 RIDGE_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+# the classifier's Newton fit stops once no gradient entry exceeds FLM_TOL
+FLM_TOL = 1e-10
+FLM_MAX_ITER = 100
 
 
 def functional_rmse(truth: np.ndarray, estimate: np.ndarray, grid: Grid) -> float:
@@ -83,8 +86,6 @@ def flm_classify_fit(
     labels,
     grid: Grid,
     ridge: float = 1e-3,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> FLMClassifier:
     """Maximize the ridge-penalized mean log-likelihood by Newton's method.
 
@@ -92,15 +93,13 @@ def flm_classify_fit(
     on the design ``[1, weigh_input(layer, x)]`` reach its maximum in a handful of
     iterations.  A step is halved while it would decrease the objective, so
     the objective path is nondecreasing.  The fit stops once no gradient
-    entry exceeds ``tol`` in size, or when no step along the Newton
+    entry exceeds ``FLM_TOL`` in size, or when no step along the Newton
     direction raises the objective any more (the gain has fallen below its
-    rounding); ``max_iter`` (at least 1) only caps the steps.  ``ridge``
-    must be finite and >= 0.  Deterministic: parameters start at zero.
+    rounding); ``FLM_MAX_ITER`` only caps the steps.  ``ridge`` must be
+    finite and >= 0.  Deterministic: parameters start at zero.
     """
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     x = _as_curves(curves)
     labels = np.asarray(labels)
     classes = sorted(set(labels.tolist()))
@@ -126,10 +125,10 @@ def flm_classify_fit(
     theta = np.zeros(m + 1)
     current = objective(theta)
     path = [current]
-    for _ in range(max_iter):
+    for _ in range(FLM_MAX_ITER):
         p = _sigmoid(design @ theta)
         gradient = design.T @ (y - p) / n - penalty * theta
-        if np.max(np.abs(gradient)) <= tol:
+        if np.max(np.abs(gradient)) <= FLM_TOL:
             break
         hessian = (design.T * (p * (1.0 - p))) @ design / n + np.diag(penalty)
         direction = np.linalg.solve(hessian, gradient)
@@ -230,27 +229,21 @@ def fof_predict(model: ContinuousLayer, inputs: np.ndarray) -> np.ndarray:
 # --- ridge selection ---------------------------------------------------------------
 
 
-def select_ridge(
-    score_split,
-    n_train: int,
-    seed: int = 0,
-    grid=RIDGE_GRID,
-) -> float:
-    """Pick the ridge with the best score on a validation fifth of the train split.
+def select_ridge(score_split, n_train: int, seed: int = 0) -> float:
+    """Pick the ridge of ``RIDGE_GRID`` with the best score on a validation
+    fifth of the train split.
 
     ``score_split(train_idx, val_idx)`` is called once and must return a
     function mapping a ridge to a score where smaller is better, so that what
     it builds from the split is shared by every ridge and freed on return.
-    Ties go to the larger ridge.  ``grid`` must hold at least one ridge.
+    Ties go to the larger ridge.
     """
-    if len(grid) == 0:
-        raise ValueError("select_ridge needs a grid of at least one ridge")
     order = np.random.default_rng(seed).permutation(n_train)
     n_val = max(1, n_train // 5)
     val_idx, train_idx = order[:n_val], order[n_val:]
     score = score_split(train_idx, val_idx)
     best = None
-    for ridge in grid:
+    for ridge in RIDGE_GRID:
         value = score(ridge)
         if best is None or value <= best[0]:
             best = (value, ridge)
@@ -282,16 +275,14 @@ def fit_reducer(
     if name == "pca":
         flat = train_values.reshape(train_values.shape[0], -1)
         pca = baselines.pca_fit(flat, variance_target)
-        def reconstruct(values, _pca=pca):
+        def reconstruct(values):
             flat_in = values.reshape(values.shape[0], -1)
-            out = baselines.pca_reconstruct(_pca, baselines.pca_encode(_pca, flat_in))
+            out = baselines.pca_reconstruct(pca, baselines.pca_encode(pca, flat_in))
             return out.reshape(values.shape)
         return reconstruct
     if name == "fpca":
         fp = baselines.fpca_fit(train_values, grid, variance_target)
-        return lambda values, _fp=fp: baselines.fpca_reconstruct(
-            _fp, baselines.fpca_encode(_fp, values)
-        )
+        return lambda values: baselines.fpca_reconstruct(fp, baselines.fpca_encode(fp, values))
     if name == "ae":
         if bfae_config is None:
             raise ValueError("reducer 'ae' mirrors a BFAE architecture; pass bfae_config")
@@ -301,16 +292,16 @@ def fit_reducer(
             flat, widths, activations=list(bfae_config.activations),
             lr=ae_lr, epochs=ae_epochs, seed=seed,
         )
-        def reconstruct_ae(values, _ae=ae):
+        def reconstruct_ae(values):
             flat_in = values.reshape(values.shape[0], -1)
-            return baselines.ae_reconstruct(_ae, flat_in).reshape(values.shape)
+            return baselines.ae_reconstruct(ae, flat_in).reshape(values.shape)
         return reconstruct_ae
     if name == "bfae":
         if bfae_config is None:
             raise ValueError("pass bfae_config for reducer 'bfae'")
         model = build(bfae_config)
         train(model, train_values)
-        return lambda values, _m=model: _m.reconstruct(values)
+        return lambda values: model.reconstruct(values)
     raise ValueError(f"unknown reducer {name!r}; choose from {REDUCERS}")
 
 

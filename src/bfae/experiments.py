@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KINDS = ("sim1", "sim10", "phoneme", "adelaide", "custom")
+KINDS = ("sim1", "sim10", "phoneme", "adelaide")
 # the ``paths`` keys each real-data kind reads, one CSV per dataset
 REALDATA_PATHS = {"phoneme": ("phoneme",), "adelaide": ("adelaide_temperature", "adelaide_demand")}
 
@@ -53,7 +53,7 @@ def default_config(kind: str) -> dict:
     This is the only place a default lives, and the schema that
     :func:`load_config` and :func:`apply_overrides` check every key against:
     each kind carries exactly the keys its commands read.  Simulated kinds
-    (``sim1``, ``sim10``, ``custom``) carry the simulator's ``sim`` keys;
+    (``sim1``, ``sim10``) carry the simulator's ``sim`` keys;
     real-data kinds carry only the stand-in's sample and point counts there,
     plus ``downstream`` and ``standin``.  ``paths`` holds ``dataset`` and the
     kind's ``REALDATA_PATHS`` keys.
@@ -118,12 +118,14 @@ def default_config(kind: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read a JSON config and merge it over ``default_config`` of its kind."""
+    """Read a JSON config and merge it over ``default_config`` of the kind it names."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version: {version}")
-    return _merge(default_config(cfg.get("kind", "custom")), cfg)
+    if "kind" not in cfg:
+        raise ValueError(f"{path}: a config file must name its kind, one of {KINDS}")
+    return _merge(default_config(cfg["kind"]), cfg)
 
 
 def _leaf_type(default):
@@ -204,12 +206,19 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _derived_seeds(master_seed: int, replication: int, n: int = 4):
-    return [int(s) for s in np.random.SeedSequence([master_seed, replication]).generate_state(n)]
+def _derived_seeds(master_seed: int, replication: int):
+    """The data, split, bfae and ae seeds of one replication."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    return [int(s) for s in np.random.SeedSequence([master_seed, replication]).generate_state(4)]
 
 
 def _sim_config(cfg: dict, seed: int) -> SimConfig:
     sim = cfg["sim"]
+    ends = sim["interval"]
+    if len(ends) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                 for v in ends):
+        raise ValueError(f"sim.interval must be a pair of numbers [a, b], got {ends!r}")
     return SimConfig(
         n_samples=sim["n_samples"],
         n_features=sim["n_features"],
@@ -293,22 +302,20 @@ def _standin(cfg: dict) -> tuple:
 
 def run_simulate(cfg: dict, out_dir) -> list:
     """Write the configured synthetic dataset; returns the written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     kind = cfg["kind"]
     if kind in REALDATA_PATHS:
-        for key, ds in zip(REALDATA_PATHS[kind], _standin(cfg)):
-            written.append(save_csv(ds, out_dir / f"{key}_standin.csv"))
+        files = zip([f"{key}_standin.csv" for key in REALDATA_PATHS[kind]], _standin(cfg))
     else:
         sim_cfg = _sim_config(cfg, _derived_seeds(cfg["master_seed"], 0)[0])
         ds = sample_gp(sim_cfg)
-        written.append(save_csv(ds, out_dir / f"{kind}_dataset.csv"))
+        files = [(f"{kind}_dataset.csv", ds)]
         print(
             f"simulated N={ds.n_samples} R={ds.n_features} M={ds.n_points} "
             f"seed={sim_cfg.seed}"
         )
-    return written
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [save_csv(ds, out_dir / name) for name, ds in files]
 
 
 # --- train ------------------------------------------------------------------------
@@ -398,7 +405,10 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
         raise ValueError("benchmark fits raw simulated curves; set standardize=false")
     if reps < 1 or jobs < 1:
         raise ValueError(f"replications and jobs must be >= 1, got {reps} and {jobs}")
-    # every replication's data share one grid: check its methods before making the output
+    # every replication's data share one grid and size: check the methods and the
+    # split on replication 0's seeds before making the output
+    _, split_seed, _, _ = _derived_seeds(cfg["master_seed"], 0)
+    split_indices(cfg["sim"]["n_samples"], _split(cfg, split_seed))
     _methods(cfg, _sim_config(cfg, 0).grid, cfg["sim"]["n_features"], 0, with_none=False)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,7 +417,8 @@ def run_benchmark(cfg: dict, out_dir, jobs: int = 1):
         # imported here: multiprocessing is not worth its import for jobs=1
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers on the first map: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
             results = list(pool.map(_benchmark_replication, tasks))
     else:
         results = [_benchmark_replication(task) for task in tasks]

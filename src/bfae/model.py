@@ -120,6 +120,8 @@ class BFAEConfig:
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(
                 f"unknown init scheme {self.init_scheme!r}; choose from {INIT_SCHEMES}")
+        if len(self.interval) != 2:
+            raise ValueError(f"interval must be a pair (a, b), got {self.interval!r}")
         a, b = self.interval
         if not b > a:
             raise ValueError("interval must satisfy b > a")
@@ -517,7 +519,10 @@ def load_model(path) -> BFAEModel:
         raise ValueError(f"{path}: model file config keys {sorted(block)} differ from {names}")
     if block.pop("batch_size") is not None:
         raise ValueError(f"{path}: model file batch_size must be null: training is full batch")
-    config = BFAEConfig(**block)
+    try:
+        config = BFAEConfig(**block)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: config: {exc}") from exc
     shapes = doc["layer_shapes"]
     if len(shapes) != config.n_layers:
         raise ValueError(f"{path}: model file has {len(shapes)} layer shapes "
@@ -547,5 +552,8 @@ def load_model(path) -> BFAEModel:
             size = int(np.prod(shape))
             params.append(flat[offset : offset + size].reshape(shape))
             offset += size
-        layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
+        try:
+            layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: layer {len(layers)}: {exc}") from exc
     return BFAEModel(layers=layers, config=config, trained_epochs=epochs)

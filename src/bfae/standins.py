@@ -22,22 +22,24 @@ def make_phoneme_standin(
     n_samples: int = 800,
     m_points: int = 150,
     class_sep: float = 5.0,
-    gp_sigma2: float = 1.0,
-    noise_sd: float = 0.3,
     seed: int = 0,
 ) -> FunctionalDataset:
-    """Two-class single-feature curves shaped like log-periodogram data.
+    """``n_samples`` (at least 1) two-class single-feature curves shaped like
+    log-periodogram data.
 
-    Both classes share a decaying baseline plus GP variation; the classes
-    differ by a smooth bump scaled by ``class_sep``, so a functional linear
-    classifier separates them imperfectly (error well away from both 0 and
-    0.5 at the default separation).
+    Both classes share a decaying baseline plus GP variation (Matern, unit
+    variance) and noise of sd 0.3; the classes differ by a smooth bump scaled
+    by ``class_sep``, so a functional linear classifier separates them
+    imperfectly (error well away from both 0 and 0.5 at the default
+    separation).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = make_uniform_grid(0.0, 1.0, m_points)
     t = grid.points
     rng = np.random.default_rng(seed)
-    kernel = cov_matrix(grid, MaternParams(sigma2=gp_sigma2, rho=0.15))
-    chol = _jittered_cholesky(kernel, gp_sigma2)
+    kernel = cov_matrix(grid, MaternParams(sigma2=1.0, rho=0.15))
+    chol = _jittered_cholesky(kernel, 1.0)
     labels = np.array(["aa", "ao"])[rng.integers(0, 2, size=n_samples)]
     shift = np.where(labels == "ao", 0.5, -0.5)[:, None] * class_sep
     baseline = 12.0 - 7.0 * t + 2.0 * np.exp(-((t - 0.15) ** 2) / 0.01)
@@ -46,7 +48,7 @@ def make_phoneme_standin(
         baseline
         + shift * bump
         + rng.standard_normal((n_samples, m_points)) @ chol.T
-        + noise_sd * rng.standard_normal((n_samples, m_points))
+        + 0.3 * rng.standard_normal((n_samples, m_points))
     )
     return FunctionalDataset(
         values=values[:, None, :], grid=grid, feature_names=("signal",), labels=labels
@@ -58,13 +60,15 @@ def make_adelaide_standin(
     m_points: int = 48,
     seed: int = 0,
 ):
-    """Paired (temperature, demand) datasets, one sample per week.
+    """Paired (temperature, demand) datasets, one sample per week (at least 1).
 
     Temperature: a daily sinusoid plus a shared weekly anomaly plus per-day
     GP variation, in degrees Celsius.  Demand responds to temperature through
     a fixed smooth kernel (same for every day) on a megawatt scale, plus
     noise, so a function-on-function regression has real signal to find.
     """
+    if n_weeks < 1:
+        raise ValueError(f"n_weeks must be >= 1, got {n_weeks}")
     grid = make_uniform_grid(0.0, 1.0, m_points)
     t = grid.points
     rng = np.random.default_rng(seed)

@@ -61,7 +61,7 @@ SIM_ONLY = ("sim.n_features", "sim.interval", "sim.matern.sigma2", "sim.matern.r
 REALDATA_ONLY = ("downstream.ridge", "standin", "paths.phoneme",
                  "paths.adelaide_temperature", "paths.adelaide_demand")
 NOT_IN_SCHEMA = (
-    [(kind, key) for kind in ("sim1", "sim10", "custom") for key in REALDATA_ONLY]
+    [(kind, key) for kind in ("sim1", "sim10") for key in REALDATA_ONLY]
     + [("phoneme", key)
        for key in SIM_ONLY + ("paths.adelaide_temperature", "paths.adelaide_demand")]
     + [("adelaide", key) for key in SIM_ONLY + ("paths.phoneme",)]
@@ -101,7 +101,8 @@ class ReadLog(dict):
 
 class TestConfigHandling:
     def test_defaults_exist_for_all_kinds(self):
-        for kind in ("sim1", "sim10", "phoneme", "adelaide", "custom"):
+        assert KINDS == ("sim1", "sim10", "phoneme", "adelaide")
+        for kind in KINDS:
             cfg = default_config(kind)
             assert cfg["schema_version"] == 1
             assert cfg["kind"] == kind
@@ -121,6 +122,25 @@ class TestConfigHandling:
         loaded = load_config(path)
         assert loaded["bfae"]["epochs"] == 77
         assert loaded["sim"]["n_samples"] == 100  # defaults merged in
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "realdata"])
+    def test_config_file_without_kind_is_an_error(self, command, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "replications": 2}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"cfg\.json: a config file must name its kind, "
+                                             r"one of \('sim1', 'sim10', 'phoneme', 'adelaide'\)"):
+            main([command, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "realdata"])
+    def test_unknown_kind_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--kind", "custom", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "argument --kind: invalid choice: 'custom'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_schema_version_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -457,6 +477,61 @@ def test_kind_with_config_is_an_error(command, kind, tmp_path):
     with pytest.raises(ValueError, match=f"names its own kind; leave out --kind {kind}"):
         main([command, "--config", str(path), "--kind", kind, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, setting, match", [
+    ("benchmark", "sim1", "split.train_fraction=1.5", r"train_fraction must be in \(0, 1\)"),
+    ("benchmark", "sim1", "split.train_fraction=0", r"train_fraction must be in \(0, 1\)"),
+    ("benchmark", "sim1", "sim.n_samples=1", "need at least 2 samples to split"),
+    ("simulate", "sim1", "sim.noise_sd=-1", "noise_sd must be >= 0"),
+    ("simulate", "sim1", "sim.interval=[0,1,2]", r"sim.interval must be a pair of numbers "
+                                                 r"\[a, b\], got \[0, 1, 2\]"),
+    ("train", "sim1", 'sim.interval=[0,"b"]', "sim.interval must be a pair of numbers"),
+    ("simulate", "phoneme", "sim.n_samples=0", "n_samples must be >= 1, got 0"),
+    ("simulate", "adelaide", "sim.n_samples=0", "n_weeks must be >= 1, got 0"),
+    ("realdata", "phoneme", "sim.n_samples=0", "n_samples must be >= 1, got 0"),
+] + [(command, kind, "master_seed=-1", "master_seed must be >= 0, got -1")
+     for command, kind in (("simulate", "sim1"), ("simulate", "adelaide"), ("train", "sim1"),
+                           ("benchmark", "sim1"), ("realdata", "phoneme"))],
+    ids=["fraction-above-one", "fraction-zero", "one-sample", "noise-negative",
+         "interval-triple", "interval-text", "phoneme-empty", "adelaide-empty",
+         "realdata-empty", "seed-simulate", "seed-simulate-standin", "seed-train",
+         "seed-benchmark", "seed-realdata"])
+def test_bad_config_is_an_error_before_any_output(command, kind, setting, match, tmp_path):
+    out = tmp_path / "out"
+    fast = FAST_REALDATA if kind in REALDATA_PATHS else FAST_BENCH
+    with pytest.raises(ValueError, match=match):
+        main([command, "--kind", kind, "--out", str(out)] + fast + ["--set", setting])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, replications, workers", [(5, 2, 2), (2, 3, 2)])
+def test_jobs_fork_no_more_workers_than_replications(jobs, replications, workers, tmp_path,
+                                                     monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = apply_overrides(default_config("sim1"),
+                          FAST_BENCH[1::2] + [f"replications={replications}"])
+    _, ok = run_benchmark(cfg, tmp_path / "out", jobs=jobs)
+    assert ok and sizes == [workers]
 
 
 def test_importing_experiments_leaves_the_process_pool_out():

@@ -141,14 +141,12 @@ class TestCsvContract:
         (lambda lines: [], {}, r"d.csv: empty file"),
         (lambda lines: lines[:1], {}, r"d.csv: no data rows"),
         (None, {"expect_m": 5}, r"d.csv: expected M=5, sidecar has M=4"),
-        (None, {"expect_features": ("f0", "x")},
-         r"d.csv: expected features \['f0', 'x'\], got \['f0', 'f1'\]"),
         (set_cell(3, 4, "inf"), {}, r"d.csv:3: non-finite value in column t_2"),
         (set_cell(3, 2, "ao"), {}, r"d.csv:3: label differs across rows of sample 0"),
         (set_cell(5, 1, "f0"), {}, r"d.csv:5: duplicate feature 'f0' for sample 1"),
         (set_cell(5, 1, "g1"), {},
          r"d.csv: sample 1 has features \['f0', 'g1'\] instead of \['f0', 'f1'\]"),
-    ], ids=["empty", "header-only", "expect-m", "expect-features", "inf",
+    ], ids=["empty", "header-only", "expect-m", "inf",
             "label-differs", "duplicate-feature", "features-differ"])
     def test_malformed_file_is_named(self, edit, kwargs, match, tmp_path):
         path = labelled_csv(tmp_path)

@@ -150,8 +150,11 @@ class TestFlmClassifier:
         assert abs(err - 0.5) <= 0.1
 
     def test_zero_model_predicts_half(self):
-        curves, labels, g = separable_curves(10, 8, seed=7)
-        model = flm_classify_fit(curves, labels, g, ridge=1e-3, tol=np.inf)  # stops at the start
+        # each curve once per label: the gradient at zero vanishes, so the fit stops there
+        curves, _, g = separable_curves(10, 8, seed=7)
+        curves = np.concatenate([curves, curves])
+        labels = np.repeat(["a", "b"], 10)
+        model = flm_classify_fit(curves, labels, g, ridge=1e-3)
         assert not model.layer.params.any()
         assert model.objective_path.size == 1
         _, p = flm_classify_predict(model, curves)
@@ -200,12 +203,6 @@ class TestFlmClassifier:
         curves, labels, g = separable_curves(10, 8, seed=11)
         with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
             flm_classify_fit(curves, labels, g, ridge=ridge)
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_rejected(self, max_iter):
-        curves, labels, g = separable_curves(10, 8, seed=11)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            flm_classify_fit(curves, labels, g, max_iter=max_iter)
 
     def test_deterministic(self):
         curves, labels, g = separable_curves(30, 9, seed=12)
@@ -314,10 +311,6 @@ class TestSelectRidge:
         assert select_ridge(score_split, n_train=50, seed=0) == 1e-3
         assert splits == [(40, 10)]  # one split, shared by every ridge
         assert calls == list((1e-5, 1e-4, 1e-3, 1e-2, 1e-1))
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="at least one ridge"):
-            select_ridge(lambda tr, va: abs, n_train=50, grid=())
 
 
 class TestPipeline:

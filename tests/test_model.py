@@ -104,6 +104,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             BFAEConfig(feature_counts=(1, 1, 1), grid_sizes=(9, 9, 9), **{field: value})
 
+    @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,)])
+    def test_interval_must_be_a_pair(self, interval):
+        with pytest.raises(ValueError, match=r"interval must be a pair \(a, b\), got"):
+            BFAEConfig(feature_counts=(1, 1, 1), grid_sizes=(9, 9, 9), interval=interval)
+
     def test_bottleneck_helper(self):
         cfg = bottleneck_config(10, 50, 4, 10, n_layers=3)
         assert cfg.feature_counts == (10, 4, 4, 10)
@@ -536,6 +541,12 @@ class TestForwardWeighing:
         assert peak / x.nbytes <= 2.5
 
 
+def nan_first_value(doc):
+    values = np.frombuffer(base64.b64decode(doc["payload_b64"]), dtype="<f8").copy()
+    values[0] = np.nan
+    doc["payload_b64"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = bottleneck_config(2, 10, 1, 4, lr=1.5, epochs=40, seed=19)
@@ -628,6 +639,21 @@ class TestSerialization:
     def test_rejects_top_level_values_of_the_wrong_type(self, edit, match, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2)), tmp_path / "m.json")
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=r"m\.json: " + match):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["config"].update(lr="abc"), "config: must be real number, not str"),
+        (lambda doc: doc["config"].update(feature_counts=5),
+         "config: 'int' object is not iterable"),
+        (lambda doc: doc["config"].update(interval=[0, 1, 2]), "config: interval must be a pair"),
+        (nan_first_value, "layer 0: layer parameters must be finite"),
+    ], ids=["lr-text", "feature-counts-int", "interval-triple", "nan-payload"])
+    def test_rejects_config_and_layer_values_naming_the_file(self, edit, match, tmp_path):
+        path = save_model(build(bottleneck_config(1, 5, 1, 2)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"m\.json: " + match):
             load_model(path)
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bfae.evaluate import fof_fit, fof_predict, functional_rmse
 from bfae.standins import DAY_NAMES, make_adelaide_standin, make_phoneme_standin
@@ -15,6 +16,11 @@ class TestPhonemeStandin:
         b = make_phoneme_standin(n_samples=40, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n}"):
+            make_phoneme_standin(n_samples=n, m_points=8)
 
     def test_classes_differ_in_mean(self):
         ds = make_phoneme_standin(n_samples=600, seed=2)
@@ -36,6 +42,11 @@ class TestAdelaideStandin:
         t2, d2 = make_adelaide_standin(n_weeks=30, seed=4)
         np.testing.assert_array_equal(t1.values, t2.values)
         np.testing.assert_array_equal(d1.values, d2.values)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_week_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n_weeks must be >= 1, got {n}"):
+            make_adelaide_standin(n_weeks=n, m_points=8)
 
     def test_scales_look_physical(self):
         temp, demand = make_adelaide_standin(n_weeks=80, seed=5)
