@@ -306,20 +306,21 @@ class Standardizer:
         return self
 
     def apply(self, dataset: FunctionalDataset) -> FunctionalDataset:
-        self._check_fitted(dataset)
+        self._check_fitted(dataset.values)
         return dataset.with_values((dataset.values - self.mean_) / self.sd_)
 
     def invert(self, dataset: FunctionalDataset) -> FunctionalDataset:
-        self._check_fitted(dataset)
+        self._check_fitted(dataset.values)
         return dataset.with_values(dataset.values * self.sd_ + self.mean_)
 
     def invert_values(self, values: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("standardizer not fitted")
+        """``invert`` of a bare ``(n, R, M)`` batch."""
+        self._check_fitted(values)
         return values * self.sd_ + self.mean_
 
-    def _check_fitted(self, dataset: FunctionalDataset):
+    def _check_fitted(self, values: np.ndarray):
         if self.mean_ is None:
             raise RuntimeError("standardizer not fitted")
-        if self.mean_.shape != dataset.values.shape[1:]:
-            raise ValueError("dataset shape does not match fitted statistics")
+        if self.mean_.shape != np.shape(values)[1:]:
+            raise ValueError(f"batch shape {np.shape(values)} does not match fitted "
+                             f"statistics {self.mean_.shape}")

@@ -62,6 +62,9 @@ def default_config(kind: str) -> dict:
     sizes.  One lr steps every parameter, and the output bias, of curvature
     ``2 q_s``, is stable only below ``1 / max q``: ``M - 1`` on a uniform grid
     over [0, 1].  The shipped BFAE rates sit at 0.41-0.67 of that ceiling.
+    sim1's BFAEs train by L-BFGS (``bfae.optimizer`` ``"lbfgs"``), whose
+    ``epochs`` count iterations and whose ``lr`` is the first trial step; the
+    other kinds descend.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
@@ -86,9 +89,10 @@ def default_config(kind: str) -> dict:
             "n_layers": 2,
             "hidden_activation": "tanh",
             "lr": 30.0,
-            "epochs": 5000,
+            "epochs": 500,
             "init_scheme": "uniform",
             "momentum": 0.0,
+            "optimizer": "lbfgs",
         },
         "bfae_reduced_points": 10,
         "ae": {"lr": 0.005, "epochs": 3000},
@@ -102,30 +106,39 @@ def default_config(kind: str) -> dict:
     if kind == "sim10":
         cfg["replications"] = 5
         cfg["sim"]["n_features"] = 10
-        cfg["bfae"].update(latent_features=4, lr=20.0, epochs=6000)
+        cfg["bfae"].update(latent_features=4, lr=20.0, epochs=6000, optimizer="gd")
         cfg["ae"].update(lr=0.003, epochs=3000)
     elif kind == "phoneme":
         cfg["sim"].update(n_samples=800, m_points=150)
-        cfg["bfae"].update(latent_points=150, lr=100.0, epochs=3000)
+        cfg["bfae"].update(latent_points=150, lr=100.0, epochs=3000, optimizer="gd")
         cfg["bfae_reduced_points"] = 30
         cfg["standin_class_sep"] = 5.0
     elif kind == "adelaide":
         cfg["sim"].update(n_samples=508, m_points=48)
         cfg["split"]["train_fraction"] = 400.0 / 508.0
-        cfg["bfae"].update(latent_features=4, latent_points=48, epochs=6000)
+        cfg["bfae"].update(latent_features=4, latent_points=48, epochs=6000, optimizer="gd")
         cfg["bfae_reduced_points"] = 12
     return cfg
 
 
 def load_config(path) -> dict:
-    """Read a JSON config and merge it over ``default_config`` of the kind it names."""
-    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON config and merge it over ``default_config`` of the kind it
+    names; every ``ValueError`` names the file."""
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a config file holds a JSON object, got {type(cfg).__name__}")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema_version: {version}")
+        raise ValueError(f"{path}: unsupported config schema_version: {version}")
     if "kind" not in cfg:
         raise ValueError(f"{path}: a config file must name its kind, one of {KINDS}")
-    return _merge(default_config(cfg["kind"]), cfg)
+    try:
+        return _merge(default_config(cfg["kind"]), cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _leaf_type(default):
@@ -202,6 +215,11 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
+    """A short digest of ``cfg``.  ``bfae.optimizer`` enters it only when it is not
+    ``"gd"``, the one optimizer there was before the key: a descent-trained run
+    keeps the hash it had then, as its model file keeps its bytes."""
+    if cfg.get("bfae", {}).get("optimizer") == "gd":
+        cfg = {**cfg, "bfae": {k: v for k, v in cfg["bfae"].items() if k != "optimizer"}}
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
@@ -250,6 +268,7 @@ def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int
         epochs=b["epochs"],
         init_scheme=b["init_scheme"],
         momentum=b["momentum"],
+        optimizer=b["optimizer"],
         seed=seed,
     )
 

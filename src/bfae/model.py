@@ -3,8 +3,8 @@
 The latent code of sample ``i`` is the output of layer ``latent_index``:
 ``feature_counts[latent_index]`` functions observed on a grid of
 ``grid_sizes[latent_index]`` timepoints.  Training minimizes the quadrature
-approximation of the mean integrated squared reconstruction error by
-full-batch gradient descent on the exact discretized gradients.
+approximation of the mean integrated squared reconstruction error on the
+exact discretized gradients, by full-batch gradient descent or by L-BFGS.
 """
 
 from __future__ import annotations
@@ -62,6 +62,20 @@ DIVERGENCE_FACTOR = 1e6
 # runs), 0.82-1.00x at 1.6-1.75x, and 0.98-1.23x at 2x and 2.5x.
 DUAL_BELOW = 2
 
+OPTIMIZERS = ("gd", "lbfgs")
+
+# L-BFGS (Liu & Nocedal, Math. Programming 45, 1989) keeps the last
+# LBFGS_PAIRS steps and gradient changes and applies their inverse-Hessian
+# estimate in the compact form of Byrd, Nocedal & Schnabel (Math. Programming
+# 63, 1994).  A step is accepted by Armijo backtracking: halving from its
+# first trial, at most LINE_SEARCH_TRIALS trials, until the loss falls by
+# ARMIJO_C1 times the step's slope.  A pair is kept only if s.y > CURVATURE_EPS
+# * y.y, which keeps the estimate positive definite.
+LBFGS_PAIRS = 20
+ARMIJO_C1 = 1e-4
+LINE_SEARCH_TRIALS = 30
+CURVATURE_EPS = float(np.finfo(np.float64).eps)
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
@@ -74,7 +88,10 @@ class BFAEConfig:
     ``feature_counts`` and ``grid_sizes`` have one entry per layer boundary
     (``L + 1`` entries for ``L`` layers); the first and last entries must
     match the data shape.  ``latent_index`` picks the layer whose output is
-    the latent code and defaults to ``ceil(L / 2)``.
+    the latent code and defaults to ``ceil(L / 2)``.  ``optimizer`` is one of
+    :data:`OPTIMIZERS`: ``"gd"`` takes ``epochs`` steps of ``lr`` (along a
+    velocity with ``momentum``), ``"lbfgs"`` runs ``epochs`` L-BFGS
+    iterations whose first trial step is ``lr``, and takes no momentum.
     """
 
     feature_counts: tuple
@@ -87,6 +104,7 @@ class BFAEConfig:
     init_scheme: str = "uniform"
     seed: int = 0
     momentum: float = 0.0
+    optimizer: str = "gd"
 
     def __post_init__(self):
         feats = tuple(int(j) for j in self.feature_counts)
@@ -134,6 +152,10 @@ class BFAEConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
+        if self.optimizer == "lbfgs" and self.momentum > 0:
+            raise ValueError(f"momentum must be 0 with optimizer 'lbfgs', got {self.momentum!r}")
         object.__setattr__(self, "feature_counts", feats)
         object.__setattr__(self, "grid_sizes", grids)
         object.__setattr__(self, "latent_index", int(latent))
@@ -178,7 +200,7 @@ def bottleneck_config(
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training loss."""
+    """Training loss at the start of each epoch (``"gd"``) or iteration (``"lbfgs"``)."""
 
     losses: np.ndarray
 
@@ -410,19 +432,29 @@ def model_gradients(model: BFAEModel, x: np.ndarray):
 
 
 def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
-    """Full-batch gradient descent using the model config's lr/epochs.
+    """Fit the model to full batches by its config's ``optimizer``.
 
-    A batch shorter than ``DUAL_BELOW`` times the first layer's input width
-    trains that layer in dual form (``_DualFirstLayer``), which rounds
-    differently from the primal steps; its parameters are written back when
-    training ends, however it ends.  ``losses[epoch]`` is the loss of that
-    epoch's pass, before its steps.  Raises :class:`TrainingDiverged` if the
-    loss becomes non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first
-    epoch's loss.
+    ``"gd"`` takes ``epochs`` descent steps of ``lr``.  A batch shorter than
+    ``DUAL_BELOW`` times the first layer's input width trains that layer in
+    dual form (``_DualFirstLayer``), which rounds differently from the primal
+    steps; its parameters are written back when training ends, however it
+    ends.  ``losses[epoch]`` is the loss of that epoch's pass, before its
+    steps.  Raises :class:`TrainingDiverged` if the loss becomes non-finite or
+    exceeds ``DIVERGENCE_FACTOR`` times the first epoch's loss.
+
+    ``"lbfgs"`` runs at most ``epochs`` iterations of :func:`_train_lbfgs`.
     """
+    x = model._check_batch(train_values)
+    losses = np.empty(model.config.epochs)
+    if model.config.optimizer == "lbfgs":
+        return TrainHistory(losses=losses[: _train_lbfgs(model, x, losses)])
+    _train_gd(model, x, losses)
+    return TrainHistory(losses=losses)
+
+
+def _train_gd(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> None:
     cfg = model.config
     lr, momentum = cfg.lr, cfg.momentum
-    x = model._check_batch(train_values)
     # the data and its quadrature weights are fixed: weigh them once per fit
     weighted = weigh_input(model.layers[0], x)
     dual = None
@@ -436,7 +468,6 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
         velocity = [None] * first + [np.zeros_like(lay.params) for lay in model.layers[first:]]
     workspace = None
 
-    losses = np.empty(cfg.epochs)
     try:
         for epoch in range(cfg.epochs):
             loss, workspace = _gradient_pass(model, x, weighted, workspace, lr, momentum,
@@ -452,7 +483,145 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
         if dual is not None:
             workspace = None  # freed before the fold
             dual.fold(weigh_input(model.layers[0], x))
-    return TrainHistory(losses=losses)
+
+
+class _LBFGSMemory:
+    """The last ``LBFGS_PAIRS`` pairs ``s = x_new - x``, ``y = g_new - g`` of an
+    L-BFGS fit and the inverse-Hessian estimate they make.
+
+    ``pairs`` holds them in ring slots, ``S`` in its first ``size`` rows over
+    ``Y``.  With the kept pairs oldest first, ``r[i, j]`` is ``s_i . y_j`` for ``i <= j``
+    (the upper triangle ``R`` of ``S'Y``) and ``yy[i, j]`` is ``y_i . y_j``.
+    ``proj`` is ``pairs @ g`` at the gradient ``g`` last passed to
+    :meth:`update`: the one pass over ``pairs`` a step makes before its
+    direction's, from which the new pair's products with the kept ones come,
+    ``s_i . y = s_i . g_new - s_i . g``.  ``count`` counts the pairs kept.
+    """
+
+    def __init__(self, n_params: int):
+        size = self.size = LBFGS_PAIRS
+        self.count, self.gamma = 0, 1.0
+        self.pairs = np.zeros((2 * size, n_params))
+        self.r = np.zeros((size, size))
+        self.yy = np.zeros((size, size))
+        self.proj = np.zeros(2 * size)
+
+    def _order(self) -> np.ndarray:
+        # the ring slots of the kept pairs, oldest first
+        k = min(self.count, self.size)
+        return (self.count - k + np.arange(k)) % self.size
+
+    def update(self, s: np.ndarray, y: np.ndarray, g: np.ndarray) -> None:
+        """Keep the pair ``(s, y)`` of the step that reached gradient ``g``, unless
+        ``s . y <= CURVATURE_EPS * y . y``, and project ``g``."""
+        m = self.size
+        proj = self.pairs @ g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > CURVATURE_EPS * yy:
+            old = self._order()
+            change = proj - self.proj
+            sy_old, yy_old, k = change[old], change[m + old], len(old)
+            if k == m:  # the oldest pair leaves
+                self.r[:-1, :-1] = self.r[1:, 1:]
+                self.yy[:-1, :-1] = self.yy[1:, 1:]
+                sy_old, yy_old, k = sy_old[1:], yy_old[1:], k - 1
+            self.r[:k, k], self.r[k, k] = sy_old, sy
+            self.yy[:k, k] = self.yy[k, :k] = yy_old
+            self.yy[k, k] = yy
+            slot = self.count % m
+            self.pairs[slot], self.pairs[m + slot] = s, y
+            proj[slot], proj[m + slot] = s @ g, y @ g
+            self.count += 1
+            self.gamma = sy / yy
+        self.proj = proj
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """``-H g`` at the gradient ``g`` last passed to :meth:`update`, for the
+        compact inverse-Hessian estimate ``H`` (Byrd, Nocedal & Schnabel 1994,
+        eq. 3.1) with ``H0 = gamma I``, ``gamma = s.y / y.y`` of the newest pair:
+        ``H g = gamma g + S p - gamma Y u`` with ``u = R^-1 S'g`` and
+        ``p = R^-T ((D + gamma Y'Y) u - gamma Y'g)``, ``D`` the diagonal of ``R``.
+        With no pair kept it is ``-g``, at any ``g``."""
+        k, m, gamma = min(self.count, self.size), self.size, self.gamma
+        if k == 0:
+            return -g
+        order = self._order()
+        r = self.r[:k, :k]
+        u = np.linalg.solve(r, self.proj[order])
+        p = np.linalg.solve(r.T, np.diag(r) * u
+                            + gamma * (self.yy[:k, :k] @ u - self.proj[m + order]))
+        coef = np.zeros(2 * m)
+        coef[order], coef[m + order] = p, -gamma * u
+        direction = coef @ self.pairs
+        direction += gamma * g
+        return np.negative(direction, out=direction)
+
+
+def _train_lbfgs(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> int:
+    """L-BFGS over the layers' ``params`` laid end to end; returns the number of
+    ``losses`` written.
+
+    Each evaluation writes a trial point into the layers' ``params`` and takes
+    the loss and gradients from a primal :func:`_gradient_pass` without ``lr``.
+    Iteration ``k`` records ``losses[k]``, the loss at its start, and steps
+    along :meth:`_LBFGSMemory.direction` by Armijo backtracking, from ``lr``
+    while no pair is kept (the first iteration) and from 1 after that.  A
+    trial whose loss is not finite fails like one that does not fall enough;
+    training stops early once no trial step lowers the loss, or once the
+    direction does not descend, which the runs seen met only at a zero
+    gradient.  The last accepted point is written back into ``params``
+    however training ends.  A first loss that is not finite raises
+    :class:`TrainingDiverged`.
+    """
+    params = [layer.params for layer in model.layers]
+    ends = np.cumsum([0] + [len(part) for part in params])
+    parts = [slice(*span) for span in zip(ends, ends[1:])]
+    point = np.concatenate(params)
+    workspace = None
+
+    def scatter(at: np.ndarray) -> None:
+        for part, dest in zip(parts, params):
+            dest[...] = at[part]
+
+    def evaluate(at: np.ndarray):
+        nonlocal workspace
+        scatter(at)
+        loss, workspace = _gradient_pass(model, x, weighted, workspace)
+        return loss, np.concatenate([cache.grads for cache in workspace[0]])
+
+    # the data and its quadrature weights are fixed: weigh them once per fit
+    weighted = weigh_input(model.layers[0], x)
+    iterations = len(losses)
+    if iterations == 0:
+        return 0
+    try:
+        loss, grad = evaluate(point)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"initial loss {loss:.6g} is not finite; the data or "
+                                   f"the start overflow the loss")
+        memory = _LBFGSMemory(len(point))
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed trial may overflow
+            for it in range(iterations):
+                losses[it] = loss
+                direction = memory.direction(grad)
+                slope = float(grad @ direction)
+                if not slope < 0:  # seen only at a zero gradient
+                    return it + 1
+                step = model.config.lr if memory.count == 0 else 1.0
+                for _ in range(LINE_SEARCH_TRIALS):
+                    trial = point + step * direction
+                    trial_loss, trial_grad = evaluate(trial)
+                    if trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope:
+                        break
+                    step *= 0.5
+                else:
+                    return it + 1
+                memory.update(trial - point, trial_grad - grad, trial_grad)
+                point, loss, grad = trial, trial_loss, trial_grad
+                model.trained_epochs += 1
+        return iterations
+    finally:
+        scatter(point)
 
 
 # --- serialization -------------------------------------------------------------
@@ -469,6 +638,8 @@ def save_model(model: BFAEModel, path) -> Path:
 
     The config block is ``BFAEConfig``'s fields in declaration order, then
     ``batch_size``, which format 1 keeps as null: training is full batch.
+    ``optimizer`` is left out when it is ``"gd"``, so a descent-trained
+    model's file is as format 1 first wrote it.
     """
     path = Path(path)
     chunks = []
@@ -478,9 +649,12 @@ def save_model(model: BFAEModel, path) -> Path:
         chunks.append(lay.weights.ravel())
         chunks.append(lay.biases.ravel())
     payload = np.concatenate(chunks).astype("<f8").tobytes()
+    config = asdict(model.config)
+    if config["optimizer"] == "gd":
+        del config["optimizer"]
     doc = {
         "format_version": 1,
-        "config": {**asdict(model.config), "batch_size": None},
+        "config": {**config, "batch_size": None},
         "trained_epochs": model.trained_epochs,
         "layer_shapes": shapes,
         "dtype": "float64",
@@ -494,7 +668,8 @@ def load_model(path) -> BFAEModel:
     """Inverse of :func:`save_model`; reconstruction is bitwise identical.
 
     A format-1 file holds exactly the keys :func:`save_model` writes, with
-    ``dtype`` ``"float64"`` and ``trained_epochs`` a whole number ``>= 0``.
+    ``dtype`` ``"float64"`` and ``trained_epochs`` a whole number ``>= 0``; a
+    config block without ``optimizer`` is read as ``"gd"``.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
@@ -515,8 +690,9 @@ def load_model(path) -> BFAEModel:
             raise ValueError(f"{path}: {key} must be a JSON {name}, got {type(doc[key]).__name__}")
     block = doc["config"]
     names = [f.name for f in fields(BFAEConfig)] + ["batch_size"]
-    if set(block) != set(names):
-        raise ValueError(f"{path}: model file config keys {sorted(block)} differ from {names}")
+    if set(block) | {"optimizer"} != set(names):
+        raise ValueError(f"{path}: model file config keys {sorted(block)} differ from {names} "
+                         f"(optimizer may be left out)")
     if block.pop("batch_size") is not None:
         raise ValueError(f"{path}: model file batch_size must be null: training is full batch")
     try:

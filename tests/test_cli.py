@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -148,11 +149,26 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="schema_version"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("[1]", "a config file holds a JSON object, got list"),
+        ('"x"', "a config file holds a JSON object, got str"),
+        ('{"schema_version": 1, "kind": ', "not a JSON file"),
+        ('{"schema_version": 9, "kind": "sim1"}', "unsupported config schema_version: 9"),
+        ('{"schema_version": 1, "kind": "custom"}', "unknown experiment kind 'custom'"),
+        ('{"schema_version": 1, "kind": "sim1", "bfae": {"epoch": 10}}',
+         "unknown config key 'bfae.epoch'"),
+    ], ids=["list", "string", "invalid-json", "schema-version", "unknown-kind", "unknown-key"])
+    def test_every_config_file_error_names_the_file(self, text, match, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"named\.json: " + re.escape(match)):
+            load_config(path)
+
     def test_misspelled_override_names_the_nearest_key(self):
         cfg = default_config("sim1")
         with pytest.raises(ValueError, match=r"'bfae\.epochs'"):
             apply_overrides(cfg, ["bfae.epoch=10"])
-        assert cfg["bfae"]["epochs"] == 5000
+        assert cfg["bfae"]["epochs"] == 500
 
     def test_misspelled_config_file_key_names_the_nearest_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -259,6 +275,19 @@ class TestConfigHandling:
         assert config_hash(a) == config_hash(b)
         b["master_seed"] = 1
         assert config_hash(a) != config_hash(b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_config_hash_leaves_out_only_the_descent_optimizer(self, kind):
+        # a descent run keeps the hash it had before bfae.optimizer existed
+        cfg = default_config(kind)
+        before = deepcopy(cfg)
+        del before["bfae"]["optimizer"]
+        other = apply_overrides(cfg, [f"bfae.optimizer={'lbfgs' if kind != 'sim1' else 'gd'}"])
+        if cfg["bfae"]["optimizer"] == "gd":
+            assert config_hash(cfg) == config_hash(before)
+            assert config_hash(other) != config_hash(before)
+        else:
+            assert config_hash(cfg) != config_hash(before) == config_hash(other)
 
 
 class TestSimulateCommand:
@@ -590,7 +619,8 @@ class TestBenchmarkCommand:
     def test_failed_cell_marks_row_and_exit_code(self, tmp_path):
         out = tmp_path / "bench"
         code = main(["benchmark", "--kind", "sim1", "--out", str(out)] + FAST_BENCH
-                    + ["--set", "bfae.lr=1e9", "--set", "bfae.hidden_activation=linear"])
+                    + ["--set", "bfae.lr=1e9", "--set", "bfae.hidden_activation=linear",
+                       "--set", "bfae.optimizer=gd"])
         assert code == 1
         lines = (out / "report.csv").read_text().splitlines()
         rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]

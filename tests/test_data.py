@@ -282,3 +282,16 @@ class TestStandardizer:
     def test_requires_fit(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             Standardizer().apply(tiny_dataset())
+
+    @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 2, 4), (2, 5)])
+    def test_invert_values_rejects_a_batch_of_another_shape(self, shape):
+        # fitted on 2 features of 5 points: a (3, 1, 5) batch would broadcast to (3, 2, 5)
+        std = Standardizer().fit(tiny_dataset(n=8, r=2, m=5, seed=10))
+        with pytest.raises(ValueError, match=r"does not match fitted statistics \(2, 5\)"):
+            std.invert_values(np.zeros(shape))
+
+    def test_invert_values_inverts_apply(self):
+        ds = tiny_dataset(n=8, r=2, m=5, seed=11)
+        std = Standardizer().fit(ds)
+        np.testing.assert_array_equal(std.invert_values(std.apply(ds).values),
+                                      std.invert(std.apply(ds)).values)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, rank_floor
 from test_train_reference import (
     assert_near_primal,
     assert_same_parameters,
@@ -19,6 +19,7 @@ from bfae.baselines import ae_fit
 from bfae.grids import make_uniform_grid
 from bfae.layers import Activation, layer_forward
 from bfae.model import (
+    LBFGS_PAIRS,
     BFAEConfig,
     BFAEModel,
     TrainingDiverged,
@@ -29,6 +30,7 @@ from bfae.model import (
     reconstruction_loss,
     save_model,
     train,
+    _LBFGSMemory,
 )
 
 
@@ -103,6 +105,17 @@ class TestConfig:
     def test_names_are_checked(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             BFAEConfig(feature_counts=(1, 1, 1), grid_sizes=(9, 9, 9), **{field: value})
+
+    @pytest.mark.parametrize("optimizer", ["adam", "LBFGS", "sgd"])
+    def test_optimizer_name_is_checked(self, optimizer):
+        with pytest.raises(ValueError, match=rf"unknown optimizer '{optimizer}'; choose from "
+                                             r"\('gd', 'lbfgs'\)"):
+            bottleneck_config(1, 9, 1, 3, optimizer=optimizer)
+
+    def test_lbfgs_takes_no_momentum(self):
+        with pytest.raises(ValueError, match="momentum must be 0 with optimizer 'lbfgs', got 0.5"):
+            bottleneck_config(1, 9, 1, 3, momentum=0.5, optimizer="lbfgs")
+        assert bottleneck_config(1, 9, 1, 3, momentum=0.5).optimizer == "gd"
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,)])
     def test_interval_must_be_a_pair(self, interval):
@@ -439,6 +452,126 @@ class TestTrain:
         np.testing.assert_array_equal(model.reconstruct(x), model.reconstruct(x))
 
 
+def two_loop_direction(pairs, g):
+    """``-H g`` by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over the
+    ``(s, y)`` pairs, oldest first, with ``H0 = (s.y / y.y) I`` of the newest."""
+    q, coefficients = g.copy(), []
+    for s, y in reversed(pairs):
+        rho = 1.0 / (y @ s)
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        coefficients.append((rho, alpha))
+    s, y = pairs[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), (rho, alpha) in zip(pairs, reversed(coefficients)):
+        r += s * (alpha - rho * (y @ r))
+    return -r
+
+
+class TestLBFGS:
+    def test_compact_direction_matches_the_two_loop_recursion(self):
+        # steps on a quadratic of condition 100: 33 pairs kept (the ring wraps) and
+        # one skipped, whose s.y < 0
+        p = 60
+        rng = np.random.default_rng(30)
+        curvature = np.geomspace(0.01, 1.0, p)
+        memory, kept = _LBFGSMemory(p), []
+        g = rng.standard_normal(p)
+        for step in range(34):
+            direction = memory.direction(g)
+            if kept:
+                expected = two_loop_direction(kept[-LBFGS_PAIRS:], g)
+                assert relative(direction, expected) <= 1e-12, step
+            else:
+                np.testing.assert_array_equal(direction, -g)
+            s = (0.7 + 0.3 * rng.random()) * direction
+            y = -s if step == 10 else curvature * s
+            memory.update(s, y, g + y)
+            g = g + y
+            if step != 10:
+                kept.append((s, y))
+        assert memory.count == 33 and len(kept) == 33
+
+    @pytest.mark.parametrize("shape", [(1, 9, 1, 3, 12), (2, 9, 1, 4, 20), (2, 7, 2, 2, 30),
+                                       (1, 25, 1, 5, 80)])
+    def test_linear_two_layer_model_reaches_the_rank_floor(self, shape):
+        # every minimum of a linear autoencoder is the weighted-PCA floor; the
+        # fit stops early, once no trial step lowers the loss
+        r, m, latent_features, latent_points, n = shape
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, r, m)) + rng.standard_normal((r, m))
+        model = build(bottleneck_config(r, m, latent_features, latent_points, hidden="linear",
+                                        lr=1.0, epochs=3000, optimizer="lbfgs", seed=n))
+        history = train(model, x)
+        floor = rank_floor(x, model.data_grid.quad_weights, latent_features * latent_points)
+        loss = reconstruction_loss(x, model.reconstruct(x), model.data_grid)
+        assert loss == pytest.approx(floor, rel=1e-6)
+        assert len(history.losses) == model.trained_epochs + 1 < 3000
+
+    def test_reruns_are_byte_identical(self):
+        x = np.random.default_rng(31).standard_normal((30, 2, 9))
+        config = bottleneck_config(2, 9, 1, 4, lr=0.5, epochs=60, optimizer="lbfgs", seed=32)
+        fits = []
+        for _ in range(2):
+            model = build(config)
+            history = train(model, x)
+            fits.append((history.losses.tobytes(), [lay.params.tobytes() for lay in model.layers]))
+        assert fits[0] == fits[1]
+        assert model.trained_epochs == 60
+
+    def test_an_interrupt_in_the_line_search_leaves_the_last_accepted_iterate(self, monkeypatch):
+        from bfae import model as bmodel
+
+        x = np.random.default_rng(33).standard_normal((30, 2, 9))
+        config = bottleneck_config(2, 9, 1, 4, lr=0.5, epochs=60, optimizer="lbfgs", seed=34)
+        model = build(config)
+        calls, trial, forward = [], [], bmodel.layer_forward
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 12:  # the decoder's forward call of the 6th evaluation
+                trial.extend(lay.params.copy() for lay in model.layers)
+                raise KeyboardInterrupt
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(bmodel, "layer_forward", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(model, x)
+        monkeypatch.undo()
+        accepted = build(replace(config, epochs=model.trained_epochs))
+        train(accepted, x)
+        assert 1 <= model.trained_epochs <= 4
+        assert [lay.params.tobytes() for lay in model.layers] == [
+            lay.params.tobytes() for lay in accepted.layers]
+        assert any(not np.array_equal(t, lay.params) for t, lay in zip(trial, model.layers))
+
+    def test_a_non_finite_first_loss_diverges(self):
+        model = build(bottleneck_config(1, 9, 1, 3, epochs=5, optimizer="lbfgs", seed=35))
+        before = [lay.params.tobytes() for lay in model.layers]
+        x = 1e200 * np.random.default_rng(36).standard_normal((6, 1, 9))
+        with pytest.raises(TrainingDiverged, match="initial loss inf is not finite"):
+            train(model, x)
+        assert [lay.params.tobytes() for lay in model.layers] == before
+
+    @pytest.mark.parametrize("lr", [0.0, 1e300])
+    def test_no_trial_that_lowers_the_loss_stops_the_fit(self, lr):
+        # a zero first step never lowers the loss, and every halving of 1e300 overflows
+        model = build(bottleneck_config(1, 9, 1, 3, lr=lr, epochs=5, optimizer="lbfgs", seed=37))
+        before = [lay.params.tobytes() for lay in model.layers]
+        x = np.random.default_rng(38).standard_normal((6, 1, 9))
+        history = train(model, x)
+        assert history.losses.tolist() == [model_gradients(model, x)[0]]
+        assert model.trained_epochs == 0
+        assert [lay.params.tobytes() for lay in model.layers] == before
+
+    def test_zero_iterations_leave_the_parameters_alone(self):
+        model = build(bottleneck_config(1, 9, 1, 3, epochs=0, optimizer="lbfgs", seed=39))
+        before = [lay.params.tobytes() for lay in model.layers]
+        history = train(model, np.random.default_rng(40).standard_normal((6, 1, 9)))
+        assert history.losses.shape == (0,) and model.trained_epochs == 0
+        assert [lay.params.tobytes() for lay in model.layers] == before
+
+
 def shipped_models():
     """A model of each shipped shape: every kind, plain and reduced latent."""
     from bfae.experiments import default_config
@@ -559,6 +692,27 @@ class TestSerialization:
         assert loaded.trained_epochs == model.trained_epochs
         assert loaded.config == model.config
 
+    def test_lbfgs_model_round_trips_bitwise(self, tmp_path):
+        cfg = bottleneck_config(2, 10, 1, 4, lr=0.5, epochs=40, optimizer="lbfgs", seed=41)
+        model = build(cfg)
+        x = np.random.default_rng(42).standard_normal((6, 2, 10))
+        train(model, x)
+        path = save_model(model, tmp_path / "model.json")
+        assert json.loads(path.read_text())["config"]["optimizer"] == "lbfgs"
+        loaded = load_model(path)
+        np.testing.assert_array_equal(model.reconstruct(x), loaded.reconstruct(x))
+        assert loaded.config == model.config
+        assert loaded.trained_epochs == model.trained_epochs
+        assert save_model(loaded, tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_a_gd_model_file_has_no_optimizer_key(self, tmp_path):
+        path = save_model(build(bottleneck_config(1, 5, 1, 2, seed=43)), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        assert "optimizer" not in doc["config"]
+        doc["config"]["optimizer"] = "gd"  # written out, it reads the same
+        path.write_text(json.dumps(doc))
+        assert load_model(path).config.optimizer == "gd"
+
     def test_version_1_file_round_trips_byte_for_byte(self, tmp_path):
         # written by the 4-D parameter layout: 3 -> 2 -> 2 -> 3 features, 8 -> 4 -> 4 -> 8 points
         golden = Path(__file__).parent / "data" / "model_v1_j3x8_j2x4.json"
@@ -598,9 +752,10 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, match", [
         (lambda config: config.pop("lr"), "config keys"),
         (lambda config: config.update(dropout=0.5), "config keys"),
+        (lambda config: config.update(optimizer="adam"), r"m\.json: config: unknown optimizer"),
         # reserved in format 1 and always null: training is full batch
         (lambda config: config.update(batch_size=4), "batch_size must be null"),
-    ], ids=["missing-lr", "unknown-key", "batch-size-set"])
+    ], ids=["missing-lr", "unknown-key", "unknown-optimizer", "batch-size-set"])
     def test_rejects_config_keys_that_differ_from_the_fields(self, edit, match, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2, lr=0.5)), tmp_path / "m.json")
         doc = json.loads(path.read_text())

@@ -37,7 +37,7 @@ SIGNATURES = {
     "layer_backward": ("layer", "cache", "upstream", "input_grad"),
     "sgd_step": ("layer", "grads", "lr", "cache"),
     "BFAEConfig": ("feature_counts", "grid_sizes", "latent_index", "activations", "interval",
-                   "lr", "epochs", "init_scheme", "seed", "momentum"),
+                   "lr", "epochs", "init_scheme", "seed", "momentum", "optimizer"),
     "BFAEModel": ("layers", "config", "trained_epochs"),
     "TrainHistory": ("losses",),
     "TrainingDiverged": ("*args",),

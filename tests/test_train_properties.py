@@ -3,6 +3,7 @@ reference loop of ``test_train_reference`` bit for bit at random shapes,
 activations and momenta (the dual loop where ``train`` keeps the first layer
 in dual form, and the primal loop within ``DUAL_RTOL`` there), and their
 losses equal ``reconstruction_loss`` to rounding and each other bit for bit;
+the L-BFGS loss falls at every accepted iterate;
 ``ae_fit`` equals the plain matrix algebra of
 ``test_baselines.dense_reference`` at random widths and hidden activations;
 and no 2-layer model reconstructs below the weighted-PCA rank floor.
@@ -17,6 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from conftest import rank_floor  # noqa: E402
 from test_baselines import dense_reference  # noqa: E402
 from test_train_reference import (  # noqa: E402
     assert_near,
@@ -110,6 +112,23 @@ def test_losses_equal_reconstruction_loss(problem, decade):
     assert first == loss
 
 
+@PROPERTY
+@given(problems(), st.integers(0, 40))
+def test_lbfgs_loss_falls_at_every_accepted_iterate(problem, iterations):
+    config, x = problem
+    model = build(replace(config, momentum=0.0, optimizer="lbfgs", epochs=iterations))
+    losses = train(model, x).losses
+    # one loss per iteration begun; an early stop records the loss it could not lower
+    stopped = len(losses) == model.trained_epochs + 1
+    assert stopped or len(losses) == model.trained_epochs == iterations
+    assert np.all(np.diff(losses) < 0)
+    if len(losses):
+        # the same pass at the point training left: the stopped iteration's start,
+        # or below the last one begun
+        final = model_gradients(model, x)[0]
+        assert final == losses[-1] if stopped else final < losses[-1]
+
+
 @st.composite
 def dense_problems(draw):
     """``(data, widths, activations, lr, epochs, seed)`` for ``ae_fit``."""
@@ -162,17 +181,6 @@ def two_layer_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     data = rng.standard_normal((draw(st.integers(2, 12)), r, m)) + rng.standard_normal((r, m))
     return config, data
-
-
-def rank_floor(x, quad_weights, rank):
-    """The least mean loss of any reconstruction in an affine space of dimension
-    ``rank``: the centred data, each value times the root of its quadrature
-    weight, keep their top ``rank`` singular values (Eckart–Young)."""
-    n = len(x)
-    flat = x.reshape(n, -1)
-    scaled = (flat - flat.mean(axis=0)) * np.sqrt(np.tile(quad_weights, x.shape[1]))
-    svals = np.linalg.svd(scaled, compute_uv=False)
-    return float((svals[rank:] ** 2).sum() / n)
 
 
 @PROPERTY
