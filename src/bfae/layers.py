@@ -119,9 +119,10 @@ class ContinuousLayer:
     ``(j_out*m_out, j_in*m_in)`` (rows over ``(r, s)``, columns over ``(j, t)``),
     then ``bias`` ``(j_out*m_out,)``.  ``matrix``, ``bias``, ``weights``
     ``(j_out, j_in, m_out, m_in)`` and ``biases`` ``(j_out, m_out)`` are writable
-    views of it; the arrays passed in are copied.  ``quad`` holds the input
-    quadrature weights tiled over ``j_in``, or ``None`` when all are 1 (the
-    dense AE).
+    views of it; the arrays passed in are copied.  A layer made here owns its
+    ``params``; a layer of a ``BFAEModel`` is moved into a slice of the model's
+    one vector.  ``quad`` holds the input quadrature weights tiled over
+    ``j_in``, or ``None`` when all are 1 (the dense AE).
     """
 
     in_grid: Grid
@@ -146,14 +147,19 @@ class ContinuousLayer:
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters must be finite")
         self.j_out, self.j_in = j_out, j_in
-        self.params = np.empty(w.size + b.size)
-        self.matrix, self.bias = _split(self.params, j_out * m_out)
-        self.weights = _surfaces(self.matrix, j_out, j_in)
-        self.biases = self.bias.reshape(j_out, m_out)
+        self._bind(np.empty(w.size + b.size))
         self.weights[...] = w
         self.biases[...] = b
         qw = self.in_grid.quad_weights
         self.quad = None if np.all(qw == 1.0) else np.tile(qw, j_in)
+
+    def _bind(self, params: np.ndarray) -> None:
+        # ``params`` becomes the layer's vector, and matrix, bias, weights and
+        # biases its views; the values are the caller's to write
+        self.params = params
+        self.matrix, self.bias = _split(params, self.j_out * len(self.out_grid))
+        self.weights = _surfaces(self.matrix, self.j_out, self.j_in)
+        self.biases = self.bias.reshape(self.j_out, len(self.out_grid))
 
 
 def _split(vector: np.ndarray, rows: int):
@@ -216,7 +222,7 @@ class LayerCache:
         self.out_flat = self.output.reshape(batch, -1)
         self.matrix_t = layer.matrix.T
 
-    def _backward_buffers(self):
+    def _backward_buffers(self, grads: np.ndarray = None):
         layer = self.layer
         if self.weigh_buffer is not None:
             self.quad_factor = _batch_multiplier(layer.quad, len(self.weigh_buffer))
@@ -232,7 +238,7 @@ class LayerCache:
             # read by the weight gradient, then dead: the input gradient goes over it
             self.grad_input_flat = self.weigh_buffer
             self.grad_input = self.weigh_buffer.reshape(self.in_shape)
-        self.grads = np.empty_like(layer.params)
+        self.grads = np.empty_like(layer.params) if grads is None else grads
         self.grad_matrix, self.grad_bias = _split(self.grads, len(layer.bias))
         self.grad_weights = _surfaces(self.grad_matrix, layer.j_out, layer.j_in)
         self.grad_biases = self.grad_bias.reshape(layer.biases.shape)
@@ -243,14 +249,19 @@ class _TrainingCache(LayerCache):
     each forward pass it goes backward once, and then the layer may take its
     step.
 
-    A relu or tanh layer's ``delta`` is its ``output``, a weighing layer's
-    ``grad_input`` is its ``weigh_buffer``, and :func:`sgd_step` writes the
-    step over ``grads``.  So the forward output and the weighed input do not
-    survive the backward pass, nor the gradients the step, and the cache
-    cannot go backward twice.
+    Its backward buffers are made with it, and ``grads`` is the slice of the
+    workspace's gradient vector passed in.  A relu or tanh layer's ``delta``
+    is its ``output``, a weighing layer's ``grad_input`` is its
+    ``weigh_buffer``, and :func:`sgd_step` writes the step over ``grads``.  So
+    the forward output and the weighed input do not survive the backward pass,
+    nor the gradients the step, and the cache cannot go backward twice.
     """
 
     _in_place = True
+
+    def __init__(self, layer: ContinuousLayer, batch: int, weigh: bool, grads: np.ndarray):
+        super().__init__(layer, batch, weigh)
+        self._backward_buffers(grads)
 
 
 def layer_forward(layer: ContinuousLayer, x: np.ndarray, cache: LayerCache = None,

@@ -13,7 +13,7 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -200,9 +200,12 @@ def bottleneck_config(
 
 @dataclass
 class TrainHistory:
-    """Training loss at the start of each epoch (``"gd"``) or iteration (``"lbfgs"``)."""
+    """Training loss at the start of each epoch (``"gd"``) or iteration
+    (``"lbfgs"``), and the number of loss ``evaluations`` the fit made: one per
+    epoch, or every line-search trial and the first evaluation."""
 
     losses: np.ndarray
+    evaluations: int
 
 
 @dataclass
@@ -210,12 +213,26 @@ class BFAEModel:
     """Encoder (layers ``1..latent_index``) plus decoder (the rest).
 
     ``config`` describes the model whole: ``build(model.config)`` redraws its
-    start, and ``latent_index`` is read from it.
+    start, and ``latent_index`` is read from it.  The model owns one vector
+    ``params``, every layer's ``params`` laid end to end: making the model
+    copies each layer's values into its slice and makes that slice the layer's
+    ``params`` (and its ``matrix``, ``bias``, ``weights`` and ``biases`` views
+    of it), so writing ``model.params`` moves every layer.
     """
 
     layers: list
     config: BFAEConfig
     trained_epochs: int = 0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params = np.empty(sum(len(layer.params) for layer in self.layers))
+        offset = 0
+        for layer in self.layers:
+            part = self.params[offset : offset + len(layer.params)]
+            part[...] = layer.params
+            layer._bind(part)
+            offset += len(part)
 
     @property
     def latent_index(self) -> int:
@@ -369,8 +386,10 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
     """Forward, loss and backward of a checked batch ``x``, whose first-layer
     ``weigh_input`` is ``weighted``, into a training workspace, made when
     ``workspace`` is ``None`` and passed back for the next pass of the fit;
-    returns ``(loss, workspace)``, whose first entry is the caches.  Without
-    ``lr`` the caches hold the gradients.  With ``lr`` each layer takes its
+    returns ``(loss, workspace)``, whose first entry is the caches and second
+    their one gradient vector, laid out like ``model.params`` from the first
+    cached layer on (each cache's ``grads`` is its slice).  Without ``lr`` it
+    holds the gradients.  With ``lr`` each layer takes its
     step by :func:`sgd_step` right after its backward pass, which has already
     formed the input gradient from the old matrix; with ``velocity`` (one
     vector per layer) the step is along ``velocity = momentum * velocity +
@@ -385,18 +404,22 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
         kind = model.layers[-1].activation.kind
         if kind != "linear":
             raise ValueError(f"the output layer's activation is {kind!r}; it must be linear")
-        # the first layer is passed the data weighted once per fit
-        caches = [None] * first + [_TrainingCache(layer, n, weigh=ell > 0)
-                                   for ell, layer in enumerate(model.layers) if ell >= first]
+        grads = np.empty(sum(len(layer.params) for layer in model.layers[first:]))
+        caches, offset = [None] * first, 0
+        for ell, layer in enumerate(model.layers[first:], first):
+            size = len(layer.params)
+            # the first layer is passed the data weighted once per fit
+            caches.append(_TrainingCache(layer, n, ell > 0, grads[offset : offset + size]))
+            offset += size
         # the residual overwrites the linear output, which backward does not read
         residual = caches[-1].output
         upstream = np.empty(x.shape)
         # the loss gradient w.r.t. the output is the residual times (2 / n) q,
         # multiplied over (n, J*M) views: never broadcast over the M axis
         scale = np.tile((2.0 / n) * model.data_grid.quad_weights, x.shape[1])
-        workspace = (caches, residual, upstream, residual.reshape(n, -1),
+        workspace = (caches, grads, residual, upstream, residual.reshape(n, -1),
                      upstream.reshape(n, -1), _batch_multiplier(scale, n))
-    caches, residual, upstream, residual_flat, upstream_flat, scale = workspace
+    caches, _, residual, upstream, residual_flat, upstream_flat, scale = workspace
     h = x if dual is None else dual.forward()
     for layer, cache in zip(model.layers[first:], caches[first:]):
         h = layer_forward(layer, h, cache, weighted)[0]
@@ -445,15 +468,14 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
     ``"lbfgs"`` runs at most ``epochs`` iterations of :func:`_train_lbfgs`.
     """
     x = model._check_batch(train_values)
-    losses = np.empty(model.config.epochs)
     if model.config.optimizer == "lbfgs":
-        return TrainHistory(losses=losses[: _train_lbfgs(model, x, losses)])
-    _train_gd(model, x, losses)
-    return TrainHistory(losses=losses)
+        return _train_lbfgs(model, x)
+    return _train_gd(model, x)
 
 
-def _train_gd(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> None:
+def _train_gd(model: BFAEModel, x: np.ndarray) -> TrainHistory:
     cfg = model.config
+    losses = np.empty(cfg.epochs)
     lr, momentum = cfg.lr, cfg.momentum
     # the data and its quadrature weights are fixed: weigh them once per fit
     weighted = weigh_input(model.layers[0], x)
@@ -483,6 +505,7 @@ def _train_gd(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> None:
         if dual is not None:
             workspace = None  # freed before the fold
             dual.fold(weigh_input(model.layers[0], x))
+    return TrainHistory(losses=losses, evaluations=cfg.epochs)
 
 
 class _LBFGSMemory:
@@ -557,48 +580,36 @@ class _LBFGSMemory:
         return np.negative(direction, out=direction)
 
 
-def _train_lbfgs(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> int:
-    """L-BFGS over the layers' ``params`` laid end to end; returns the number of
-    ``losses`` written.
+def _train_lbfgs(model: BFAEModel, x: np.ndarray) -> TrainHistory:
+    """L-BFGS over ``model.params``.
 
-    Each evaluation writes a trial point into the layers' ``params`` and takes
-    the loss and gradients from a primal :func:`_gradient_pass` without ``lr``.
+    Each evaluation writes a trial point into ``model.params`` and takes the
+    loss and gradient from a primal :func:`_gradient_pass` without ``lr``.
     Iteration ``k`` records ``losses[k]``, the loss at its start, and steps
     along :meth:`_LBFGSMemory.direction` by Armijo backtracking, from ``lr``
     while no pair is kept (the first iteration) and from 1 after that.  A
     trial whose loss is not finite fails like one that does not fall enough;
     training stops early once no trial step lowers the loss, or once the
     direction does not descend, which the runs seen met only at a zero
-    gradient.  The last accepted point is written back into ``params``
+    gradient.  The last accepted point is written back into ``model.params``
     however training ends.  A first loss that is not finite raises
     :class:`TrainingDiverged`.
     """
-    params = [layer.params for layer in model.layers]
-    ends = np.cumsum([0] + [len(part) for part in params])
-    parts = [slice(*span) for span in zip(ends, ends[1:])]
-    point = np.concatenate(params)
-    workspace = None
-
-    def scatter(at: np.ndarray) -> None:
-        for part, dest in zip(parts, params):
-            dest[...] = at[part]
-
-    def evaluate(at: np.ndarray):
-        nonlocal workspace
-        scatter(at)
-        loss, workspace = _gradient_pass(model, x, weighted, workspace)
-        return loss, np.concatenate([cache.grads for cache in workspace[0]])
-
+    iterations = model.config.epochs
+    losses = np.empty(iterations)
+    if iterations == 0:
+        return TrainHistory(losses=losses, evaluations=0)
+    params = model.params
+    point = params.copy()
     # the data and its quadrature weights are fixed: weigh them once per fit
     weighted = weigh_input(model.layers[0], x)
-    iterations = len(losses)
-    if iterations == 0:
-        return 0
     try:
-        loss, grad = evaluate(point)
+        loss, workspace = _gradient_pass(model, x, weighted)
+        evaluations, trial_grad = 1, workspace[1]
         if not math.isfinite(loss):
             raise TrainingDiverged(f"initial loss {loss:.6g} is not finite; the data or "
                                    f"the start overflow the loss")
+        grad, s, y = trial_grad.copy(), np.empty_like(point), np.empty_like(point)
         memory = _LBFGSMemory(len(point))
         with np.errstate(over="ignore", invalid="ignore"):  # a failed trial may overflow
             for it in range(iterations):
@@ -606,22 +617,28 @@ def _train_lbfgs(model: BFAEModel, x: np.ndarray, losses: np.ndarray) -> int:
                 direction = memory.direction(grad)
                 slope = float(grad @ direction)
                 if not slope < 0:  # seen only at a zero gradient
-                    return it + 1
+                    return TrainHistory(losses=losses[: it + 1], evaluations=evaluations)
                 step = model.config.lr if memory.count == 0 else 1.0
                 for _ in range(LINE_SEARCH_TRIALS):
-                    trial = point + step * direction
-                    trial_loss, trial_grad = evaluate(trial)
+                    # point + step * direction, written into the layers
+                    np.multiply(direction, step, out=params)
+                    params += point
+                    trial_loss = _gradient_pass(model, x, weighted, workspace)[0]
+                    evaluations += 1
                     if trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope:
                         break
                     step *= 0.5
                 else:
-                    return it + 1
-                memory.update(trial - point, trial_grad - grad, trial_grad)
-                point, loss, grad = trial, trial_loss, trial_grad
+                    return TrainHistory(losses=losses[: it + 1], evaluations=evaluations)
+                memory.update(np.subtract(params, point, out=s),
+                              np.subtract(trial_grad, grad, out=y), trial_grad)
+                point[...] = params
+                grad[...] = trial_grad
+                loss = trial_loss
                 model.trained_epochs += 1
-        return iterations
+        return TrainHistory(losses=losses, evaluations=evaluations)
     finally:
-        scatter(point)
+        params[...] = point
 
 
 # --- serialization -------------------------------------------------------------
@@ -732,4 +749,5 @@ def load_model(path) -> BFAEModel:
             layers.append(ContinuousLayer(in_grid, out_grid, *params, activation))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: layer {len(layers)}: {exc}") from exc
+    del flat, params  # freed before the model vector is made
     return BFAEModel(layers=layers, config=config, trained_epochs=epochs)

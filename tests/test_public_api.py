@@ -39,7 +39,7 @@ SIGNATURES = {
     "BFAEConfig": ("feature_counts", "grid_sizes", "latent_index", "activations", "interval",
                    "lr", "epochs", "init_scheme", "seed", "momentum", "optimizer"),
     "BFAEModel": ("layers", "config", "trained_epochs"),
-    "TrainHistory": ("losses",),
+    "TrainHistory": ("losses", "evaluations"),
     "TrainingDiverged": ("*args",),
     "bottleneck_config": ("n_features", "n_points", "latent_features", "latent_points",
                           "n_layers", "hidden", "kwargs"),
