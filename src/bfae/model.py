@@ -513,71 +513,78 @@ class _LBFGSMemory:
     L-BFGS fit and the inverse-Hessian estimate they make.
 
     ``pairs`` holds them in ring slots, ``S`` in its first ``size`` rows over
-    ``Y``.  With the kept pairs oldest first, ``r[i, j]`` is ``s_i . y_j`` for ``i <= j``
-    (the upper triangle ``R`` of ``S'Y``) and ``yy[i, j]`` is ``y_i . y_j``.
-    ``proj`` is ``pairs @ g`` at the gradient ``g`` last passed to
-    :meth:`update`: the one pass over ``pairs`` a step makes before its
-    direction's, from which the new pair's products with the kept ones come,
-    ``s_i . y = s_i . g_new - s_i . g``.  ``count`` counts the pairs kept.
+    ``Y``, and ``order`` the slots of the kept pairs, oldest first.  In that
+    order, ``R`` is the upper triangle of ``S'Y`` (``R[i, j] = s_i . y_j`` for
+    ``i <= j``): ``rinv`` holds its inverse and ``diag`` its diagonal, and
+    ``yy[i, j]`` is ``y_i . y_j``.  A new pair borders ``R`` with the column
+    ``c = S'y`` and ``d = s . y``, so ``R^-1`` gains the column ``-R^-1 c / d``
+    over ``1 / d``; when the oldest pair leaves, ``R^-1`` keeps its trailing
+    block, which is the inverse of ``R``'s.  ``proj`` is ``pairs @ g`` at the
+    gradient ``g`` last passed to :meth:`update`: the one pass over ``pairs`` a
+    step makes before its direction's, from which the new pair's products with
+    the kept ones come, ``s_i . y = s_i . g_new - s_i . g``.  ``count`` counts
+    the pairs kept.
     """
 
     def __init__(self, n_params: int):
         size = self.size = LBFGS_PAIRS
         self.count, self.gamma = 0, 1.0
         self.pairs = np.zeros((2 * size, n_params))
-        self.r = np.zeros((size, size))
+        self.rinv = np.zeros((size, size))
+        self.diag = np.zeros(size)
         self.yy = np.zeros((size, size))
         self.proj = np.zeros(2 * size)
-
-    def _order(self) -> np.ndarray:
-        # the ring slots of the kept pairs, oldest first
-        k = min(self.count, self.size)
-        return (self.count - k + np.arange(k)) % self.size
+        self.order = np.arange(0)
+        # the direction's coefficients over ``pairs`` (zero outside ``order``) and its buffer
+        self.coef = np.zeros(2 * size)
+        self.out = np.empty(n_params)
 
     def update(self, s: np.ndarray, y: np.ndarray, g: np.ndarray) -> None:
         """Keep the pair ``(s, y)`` of the step that reached gradient ``g``, unless
         ``s . y <= CURVATURE_EPS * y . y``, and project ``g``."""
         m = self.size
-        proj = self.pairs @ g
         sy, yy = float(s @ y), float(y @ y)
-        if sy > CURVATURE_EPS * yy:
-            old = self._order()
-            change = proj - self.proj
-            sy_old, yy_old, k = change[old], change[m + old], len(old)
-            if k == m:  # the oldest pair leaves
-                self.r[:-1, :-1] = self.r[1:, 1:]
-                self.yy[:-1, :-1] = self.yy[1:, 1:]
-                sy_old, yy_old, k = sy_old[1:], yy_old[1:], k - 1
-            self.r[:k, k], self.r[k, k] = sy_old, sy
-            self.yy[:k, k] = self.yy[k, :k] = yy_old
-            self.yy[k, k] = yy
-            slot = self.count % m
-            self.pairs[slot], self.pairs[m + slot] = s, y
-            proj[slot], proj[m + slot] = s @ g, y @ g
-            self.count += 1
-            self.gamma = sy / yy
-        self.proj = proj
+        if not sy > CURVATURE_EPS * yy:
+            self.proj = self.pairs @ g
+            return
+        old = self.order
+        if len(old) == m:  # the oldest pair leaves
+            self.rinv[:-1, :-1] = self.rinv[1:, 1:]
+            self.diag[:-1] = self.diag[1:]
+            self.yy[:-1, :-1] = self.yy[1:, 1:]
+            old = old[1:]
+        slot, k = self.count % m, len(old)
+        # written over the leaving pair's slot, or a free one, before the pass
+        self.pairs[slot], self.pairs[m + slot] = s, y
+        proj = self.pairs @ g
+        self.rinv[:k, k] = self.rinv[:k, :k] @ (proj[old] - self.proj[old])
+        self.rinv[:k, k] /= -sy
+        self.rinv[k, k], self.diag[k] = 1.0 / sy, sy
+        self.yy[:k, k] = self.yy[k, :k] = proj[m + old] - self.proj[m + old]
+        self.yy[k, k] = yy
+        self.proj, self.count, self.gamma = proj, self.count + 1, sy / yy
+        self.order = np.arange(self.count - k - 1, self.count) % m
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """``-H g`` at the gradient ``g`` last passed to :meth:`update`, for the
         compact inverse-Hessian estimate ``H`` (Byrd, Nocedal & Schnabel 1994,
         eq. 3.1) with ``H0 = gamma I``, ``gamma = s.y / y.y`` of the newest pair:
         ``H g = gamma g + S p - gamma Y u`` with ``u = R^-1 S'g`` and
-        ``p = R^-T ((D + gamma Y'Y) u - gamma Y'g)``, ``D`` the diagonal of ``R``.
-        With no pair kept it is ``-g``, at any ``g``."""
-        k, m, gamma = min(self.count, self.size), self.size, self.gamma
+        ``p = R^-T (D u + gamma (Y'Y u - Y'g))``, ``D`` the diagonal of ``R``.
+        With no pair kept it is ``-g``, at any ``g``.  The result is a buffer
+        of the memory's, overwritten by the next call."""
+        order, m, gamma = self.order, self.size, self.gamma
+        k = len(order)
         if k == 0:
-            return -g
-        order = self._order()
-        r = self.r[:k, :k]
-        u = np.linalg.solve(r, self.proj[order])
-        p = np.linalg.solve(r.T, np.diag(r) * u
-                            + gamma * (self.yy[:k, :k] @ u - self.proj[m + order]))
-        coef = np.zeros(2 * m)
-        coef[order], coef[m + order] = p, -gamma * u
-        direction = coef @ self.pairs
-        direction += gamma * g
-        return np.negative(direction, out=direction)
+            return np.negative(g, out=self.out)
+        rinv = self.rinv[:k, :k]
+        u = rinv @ self.proj[order]
+        p = rinv.T @ (self.diag[:k] * u + gamma * (self.yy[:k, :k] @ u - self.proj[m + order]))
+        # the negation of -H g is in the coefficients
+        self.coef[order], self.coef[m + order] = -p, gamma * u
+        direction = np.matmul(self.coef, self.pairs, out=self.out)
+        direction -= gamma * g
+        return direction
 
 
 def _train_lbfgs(model: BFAEModel, x: np.ndarray) -> TrainHistory:

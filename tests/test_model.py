@@ -13,13 +13,15 @@ from test_train_reference import (
     reference_dual_train,
     reference_params,
     reference_train,
+    two_loop_direction,
 )
 
 from bfae.baselines import ae_fit
 from bfae.grids import make_uniform_grid
-from bfae.layers import Activation, layer_forward
+from bfae.layers import Activation, init_layer, layer_forward
 from bfae.model import (
     LBFGS_PAIRS,
+    LINE_SEARCH_TRIALS,
     BFAEConfig,
     BFAEModel,
     TrainingDiverged,
@@ -452,26 +454,11 @@ class TestTrain:
         np.testing.assert_array_equal(model.reconstruct(x), model.reconstruct(x))
 
 
-def two_loop_direction(pairs, g):
-    """``-H g`` by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over the
-    ``(s, y)`` pairs, oldest first, with ``H0 = (s.y / y.y) I`` of the newest."""
-    q, coefficients = g.copy(), []
-    for s, y in reversed(pairs):
-        rho = 1.0 / (y @ s)
-        alpha = rho * (s @ q)
-        q -= alpha * y
-        coefficients.append((rho, alpha))
-    s, y = pairs[-1]
-    r = (s @ y) / (y @ y) * q
-    for (s, y), (rho, alpha) in zip(pairs, reversed(coefficients)):
-        r += s * (alpha - rho * (y @ r))
-    return -r
-
-
 class TestLBFGS:
     def test_compact_direction_matches_the_two_loop_recursion(self):
         # steps on a quadratic of condition 100: 33 pairs kept (the ring wraps) and
-        # one skipped, whose s.y < 0
+        # one skipped, whose s.y < 0; after every update the stored R^-1 inverts
+        # R, the upper triangle of S'Y rebuilt from the kept pairs, oldest first
         p = 60
         rng = np.random.default_rng(30)
         curvature = np.geomspace(0.01, 1.0, p)
@@ -490,7 +477,50 @@ class TestLBFGS:
             g = g + y
             if step != 10:
                 kept.append((s, y))
+            window = kept[-LBFGS_PAIRS:]
+            k = len(window)
+            r = np.triu(np.array([s for s, _ in window]) @ np.array([y for _, y in window]).T)
+            np.testing.assert_allclose(memory.rinv[:k, :k] @ r, np.eye(k), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.tril(memory.rinv[:k, :k], -1), 0.0)
+            np.testing.assert_allclose(memory.diag[:k], np.diag(r), rtol=1e-12)
         assert memory.count == 33 and len(kept) == 33
+
+    def test_training_makes_no_linalg_call(self, monkeypatch):
+        # the direction's triangular systems are products with the stored R^-1
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        x = np.random.default_rng(44).standard_normal((30, 2, 9))
+        model = build(bottleneck_config(2, 9, 1, 4, lr=0.5, epochs=40, optimizer="lbfgs", seed=45))
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        train(model, x)
+        assert model.trained_epochs == 40
+
+    @pytest.mark.parametrize("optimizer, lr", [("lbfgs", 0.5), ("lbfgs", 0.0), ("gd", 0.1)])
+    def test_evaluations_count_every_loss_pass(self, optimizer, lr, monkeypatch):
+        # descent makes one pass per epoch; L-BFGS one first pass and one per
+        # line-search trial (a zero first step fails every trial)
+        from bfae import model as bmodel
+
+        calls, gradient_pass = [], bmodel._gradient_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gradient_pass(*args, **kwargs)
+
+        monkeypatch.setattr(bmodel, "_gradient_pass", counted)
+        x = np.random.default_rng(46).standard_normal((30, 2, 9))
+        model = build(bottleneck_config(2, 9, 1, 4, lr=lr, epochs=30, optimizer=optimizer,
+                                        seed=47))
+        history = train(model, x)
+        assert history.evaluations == len(calls)
+        if optimizer == "gd":
+            assert history.evaluations == 30
+        elif lr == 0:
+            assert history.evaluations == 1 + LINE_SEARCH_TRIALS
+        else:
+            assert len(history.losses) < history.evaluations
 
     @pytest.mark.parametrize("shape", [(1, 9, 1, 3, 12), (2, 9, 1, 4, 20), (2, 7, 2, 2, 30),
                                        (1, 25, 1, 5, 80)])
@@ -569,7 +599,74 @@ class TestLBFGS:
         before = [lay.params.tobytes() for lay in model.layers]
         history = train(model, np.random.default_rng(40).standard_normal((6, 1, 9)))
         assert history.losses.shape == (0,) and model.trained_epochs == 0
+        assert history.evaluations == 0
         assert [lay.params.tobytes() for lay in model.layers] == before
+
+
+def assert_layers_are_slices(model):
+    """Every layer's ``params`` is the next slice of ``model.params``, its views
+    read it, and writing ``model.params`` moves every layer."""
+    start = model.params.__array_interface__["data"][0]
+    offset = 0
+    for layer in model.layers:
+        assert layer.params.base is model.params
+        assert layer.params.__array_interface__["data"][0] == start + 8 * offset
+        for view in (layer.matrix, layer.bias, layer.weights, layer.biases):
+            assert np.shares_memory(view, model.params)
+        offset += layer.params.size
+    assert offset == model.params.size
+    before = model.params.copy()
+    moved = [(layer.weights + 1.0, layer.biases + 1.0) for layer in model.layers]
+    model.params += 1.0
+    for layer, (weights, biases) in zip(model.layers, moved):
+        np.testing.assert_array_equal(layer.weights, weights)
+        np.testing.assert_array_equal(layer.biases, biases)
+    model.params[...] = before
+
+
+def owns_its_vector(layer) -> bool:
+    return layer.params.base is None and layer.params.flags.owndata
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("optimizer", ["gd", "lbfgs"])
+    def test_built_and_trained_layers_are_slices_of_the_model_vector(self, optimizer):
+        # 6 curves of 18 values: descent keeps the first layer dual and folds it
+        model = build(bottleneck_config(2, 9, 1, 4, n_layers=3, lr=0.1, epochs=5,
+                                        optimizer=optimizer, seed=48))
+        assert_layers_are_slices(model)
+        train(model, np.random.default_rng(49).standard_normal((6, 2, 9)))
+        assert_layers_are_slices(model)
+
+    def test_loaded_layers_are_slices_of_the_model_vector(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "model_v1_j3x8_j2x4.json"
+        model = load_model(golden)
+        assert_layers_are_slices(model)
+        assert save_model(model, tmp_path / "again.json").read_bytes() == golden.read_bytes()
+
+    def test_dense_ae_layers_are_slices_of_the_model_vector(self):
+        data = np.random.default_rng(50).standard_normal((12, 6))
+        assert_layers_are_slices(ae_fit(data, [6, 3, 6], lr=0.05, epochs=3, seed=51)[0])
+
+    def test_a_hand_built_model_takes_its_layers_values(self):
+        model = build(bottleneck_config(1, 8, 1, 4, seed=52))
+        layers = [init_layer(lay.in_grid, lay.out_grid, lay.j_in, lay.j_out, lay.activation,
+                             seed=53 + ell) for ell, lay in enumerate(model.layers)]
+        values = [lay.params.copy() for lay in layers]
+        hand_built = BFAEModel(layers, model.config)
+        assert_layers_are_slices(hand_built)
+        np.testing.assert_array_equal(hand_built.params, np.concatenate(values))
+
+    def test_layers_outside_a_model_own_their_vectors(self):
+        from bfae.evaluate import flm_classify_fit, fof_fit
+
+        grid = make_uniform_grid(0, 1, 8)
+        rng = np.random.default_rng(54)
+        curves = rng.standard_normal((20, 1, 8))
+        assert owns_its_vector(init_layer(grid, grid, 1, 2, "tanh"))
+        assert owns_its_vector(fof_fit(curves, rng.standard_normal((20, 2, 8)), grid, grid))
+        labels = rng.integers(0, 2, 20)
+        assert owns_its_vector(flm_classify_fit(curves, labels, grid).layer)
 
 
 def shipped_models():

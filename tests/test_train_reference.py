@@ -11,17 +11,32 @@ A full-batch fit shorter than ``DUAL_BELOW`` times the data's row trains its
 first layer in dual form; it equals the written-out dual loop
 (:func:`reference_dual_train`) bit for bit, and the primal loop to
 ``DUAL_RTOL`` of the largest parameter of each layer.
+
+L-BFGS keeps its pairs in compact form; it equals the written-out two-loop
+recursion (:func:`reference_lbfgs`) to ``LBFGS_RTOL``.
 """
 
 import numpy as np
 import pytest
 
 from bfae.baselines import ae_fit
-from bfae.model import DUAL_BELOW, bottleneck_config, build, model_gradients, train
+from bfae.model import (
+    ARMIJO_C1,
+    CURVATURE_EPS,
+    DUAL_BELOW,
+    LBFGS_PAIRS,
+    LINE_SEARCH_TRIALS,
+    bottleneck_config,
+    build,
+    model_gradients,
+    train,
+)
 
 # dual against primal parameters, relative to each array's largest value: the
 # cases here and in test_train_properties differ by at most 3.2e-15 (measured)
 DUAL_RTOL = 1e-12
+# L-BFGS against the two-loop reference, relative to each array's largest value
+LBFGS_RTOL = 1e-9
 
 
 def _matrix(w):
@@ -162,6 +177,64 @@ def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
     return np.array(losses)
 
 
+def two_loop_direction(pairs, g):
+    """``-H g`` by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over the
+    ``(s, y)`` pairs, oldest first, with ``H0 = (s.y / y.y) I`` of the newest."""
+    q, coefficients = g.copy(), []
+    for s, y in reversed(pairs):
+        rho = 1.0 / (y @ s)
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        coefficients.append((rho, alpha))
+    s, y = pairs[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), (rho, alpha) in zip(pairs, reversed(coefficients)):
+        r += s * (alpha - rho * (y @ r))
+    return -r
+
+
+def reference_lbfgs(params, x, qw, lr, iterations):
+    """L-BFGS over ``params`` by :func:`reference_step` and the two-loop
+    recursion over the last ``LBFGS_PAIRS`` kept pairs: Armijo backtracking by
+    halving from ``lr`` while no pair is kept and from 1 after, a pair kept
+    only if ``s.y > CURVATURE_EPS * y.y``.  Returns ``(losses, kept)``, the loss
+    at each iteration's start and the number of pairs kept; ``params`` ends
+    at the last accepted point."""
+    arrays = [a for w, b, _, _ in params for a in (w, b)]
+
+    def evaluate(at):
+        offset = 0
+        for a in arrays:
+            a[...] = at[offset : offset + a.size].reshape(a.shape)
+            offset += a.size
+        loss, grads = reference_step(params, x, qw)
+        return loss, np.concatenate([g.ravel() for pair in grads for g in pair])
+
+    point = np.concatenate([a.ravel() for a in arrays])
+    (loss, grad), pairs, losses = evaluate(point), [], []
+    for _ in range(iterations):
+        losses.append(loss)
+        direction = two_loop_direction(pairs[-LBFGS_PAIRS:], grad) if pairs else -grad
+        slope = grad @ direction
+        if not slope < 0:
+            break
+        step = 1.0 if pairs else lr
+        for _ in range(LINE_SEARCH_TRIALS):
+            trial = point + step * direction
+            trial_loss, trial_grad = evaluate(trial)
+            if trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = trial - point, trial_grad - grad
+        if s @ y > CURVATURE_EPS * (y @ y):
+            pairs.append((s, y))
+        point, loss, grad = trial, trial_loss, trial_grad
+    evaluate(point)
+    return np.array(losses), len(pairs)
+
+
 def reference_fits(model, x, lr, epochs, momentum=0.0):
     """``((losses, params), (primal_losses, primal_params))`` from ``model``'s
     parameters: the reference loop of the side ``train`` takes, and the primal
@@ -262,3 +335,23 @@ def test_unit_weight_ae_matches_reference_loop(widths):
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
     assert_near_primal(model, history.losses, primal)
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 1, 4, 30), (1, 25, 2, 5, 40)])
+def test_lbfgs_matches_the_two_loop_reference_loop(shape):
+    # 40 iterations keep more than LBFGS_PAIRS pairs: the ring wraps
+    r, m, latent_features, latent_points, n = shape
+    config = bottleneck_config(r, m, latent_features, latent_points, lr=0.5, epochs=40,
+                               optimizer="lbfgs", seed=n)
+    model = build(config)
+    x = np.random.default_rng(n).standard_normal((n, r, m))
+    params = reference_params(model)
+    losses, kept = reference_lbfgs(params, x, model.data_grid.quad_weights, config.lr, 40)
+    history = train(model, x)
+    assert len(losses) == len(history.losses) == model.trained_epochs == 40
+    assert kept > LBFGS_PAIRS
+    np.testing.assert_allclose(history.losses, losses, rtol=LBFGS_RTOL, atol=0.0)
+    for lay, (w, b, _, _) in zip(model.layers, params):
+        for got, want in ((lay.weights, w), (lay.biases, b)):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=LBFGS_RTOL * np.abs(want).max())
