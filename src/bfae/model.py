@@ -624,7 +624,7 @@ def _train_lbfgs(model: BFAEModel, x: np.ndarray) -> TrainHistory:
                 direction = memory.direction(grad)
                 slope = float(grad @ direction)
                 if not slope < 0:  # seen only at a zero gradient
-                    return TrainHistory(losses=losses[: it + 1], evaluations=evaluations)
+                    break
                 step = model.config.lr if memory.count == 0 else 1.0
                 for _ in range(LINE_SEARCH_TRIALS):
                     # point + step * direction, written into the layers
@@ -635,15 +635,15 @@ def _train_lbfgs(model: BFAEModel, x: np.ndarray) -> TrainHistory:
                     if trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope:
                         break
                     step *= 0.5
-                else:
-                    return TrainHistory(losses=losses[: it + 1], evaluations=evaluations)
+                else:  # no trial lowered the loss
+                    break
                 memory.update(np.subtract(params, point, out=s),
                               np.subtract(trial_grad, grad, out=y), trial_grad)
                 point[...] = params
                 grad[...] = trial_grad
                 loss = trial_loss
                 model.trained_epochs += 1
-        return TrainHistory(losses=losses, evaluations=evaluations)
+        return TrainHistory(losses=losses[: it + 1], evaluations=evaluations)
     finally:
         params[...] = point
 
