@@ -91,7 +91,6 @@ def default_config(kind: str) -> dict:
             "lr": 30.0,
             "epochs": 500,
             "init_scheme": "uniform",
-            "momentum": 0.0,
             "optimizer": "lbfgs",
         },
         "bfae_reduced_points": 10,
@@ -215,11 +214,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """A short digest of ``cfg``.  ``bfae.optimizer`` enters it only when it is not
-    ``"gd"``, the one optimizer there was before the key: a descent-trained run
-    keeps the hash it had then, as its model file keeps its bytes."""
-    if cfg.get("bfae", {}).get("optimizer") == "gd":
-        cfg = {**cfg, "bfae": {k: v for k, v in cfg["bfae"].items() if k != "optimizer"}}
+    """A short digest of ``cfg``, every key included."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
@@ -267,7 +262,6 @@ def _bfae_config(cfg: dict, grid, n_features: int, latent_points: int, seed: int
         lr=b["lr"],
         epochs=b["epochs"],
         init_scheme=b["init_scheme"],
-        momentum=b["momentum"],
         optimizer=b["optimizer"],
         seed=seed,
     )

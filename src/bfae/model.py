@@ -81,6 +81,14 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the first."""
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an ``int``; a ``ValueError`` naming ``name`` unless it is a
+    whole number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BFAEConfig:
     """Architecture and optimization settings.
@@ -89,9 +97,8 @@ class BFAEConfig:
     (``L + 1`` entries for ``L`` layers); the first and last entries must
     match the data shape.  ``latent_index`` picks the layer whose output is
     the latent code and defaults to ``ceil(L / 2)``.  ``optimizer`` is one of
-    :data:`OPTIMIZERS`: ``"gd"`` takes ``epochs`` steps of ``lr`` (along a
-    velocity with ``momentum``), ``"lbfgs"`` runs ``epochs`` L-BFGS
-    iterations whose first trial step is ``lr``, and takes no momentum.
+    :data:`OPTIMIZERS`: ``"gd"`` takes ``epochs`` steps of ``lr``, ``"lbfgs"``
+    runs ``epochs`` L-BFGS iterations whose first trial step is ``lr``.
     """
 
     feature_counts: tuple
@@ -103,12 +110,11 @@ class BFAEConfig:
     epochs: int = 2000
     init_scheme: str = "uniform"
     seed: int = 0
-    momentum: float = 0.0
     optimizer: str = "gd"
 
     def __post_init__(self):
-        feats = tuple(int(j) for j in self.feature_counts)
-        grids = tuple(int(m) for m in self.grid_sizes)
+        feats = tuple(_whole(j, "feature_counts entry") for j in self.feature_counts)
+        grids = tuple(_whole(m, "grid_sizes entry") for m in self.grid_sizes)
         if len(feats) < 3:
             raise ValueError("need at least 2 layers (3 boundary entries)")
         if len(feats) != len(grids):
@@ -123,6 +129,7 @@ class BFAEConfig:
         latent = self.latent_index
         if latent is None:
             latent = math.ceil(n_layers / 2)
+        latent = _whole(latent, "latent_index")
         if not 1 <= latent <= n_layers - 1:
             raise ValueError(
                 f"latent_index must be in 1..{n_layers - 1}, got {latent}"
@@ -146,19 +153,18 @@ class BFAEConfig:
         if isinstance(self.lr, bool):
             raise ValueError(f"lr must be a number, got {self.lr!r}")
         check_lr(self.lr)
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be a whole number, got {self.epochs!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        epochs, seed = _whole(self.epochs, "epochs"), _whole(self.seed, "seed")
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
-        if self.optimizer == "lbfgs" and self.momentum > 0:
-            raise ValueError(f"momentum must be 0 with optimizer 'lbfgs', got {self.momentum!r}")
         object.__setattr__(self, "feature_counts", feats)
         object.__setattr__(self, "grid_sizes", grids)
-        object.__setattr__(self, "latent_index", int(latent))
+        object.__setattr__(self, "latent_index", latent)
+        object.__setattr__(self, "epochs", epochs)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "interval", (float(a), float(b)))
 
@@ -336,14 +342,13 @@ class _DualFirstLayer:
     with ``coef`` ``C`` ``(n, p)`` starting at zero (the representer theorem;
     ``p = len(layer.bias)``).  Its pre-activation is ``G @ C + P``, with the Gram
     ``G = X @ X.T + 1`` and the base ``P = X @ matrix0.T + bias0`` made once per
-    fit, and its step is ``C -= lr * delta``, with momentum along
-    ``velocity = momentum * velocity + delta``: no weight-gradient product, no
+    fit, and its step is ``C -= lr * delta``: no weight-gradient product, no
     bias reduce and no ``grads``, and ``X`` is not held.  ``layer.params`` is
     stale until :meth:`fold` writes ``C`` into it.  A relu or tanh layer forms
     ``delta`` over its ``output``, and the step goes over ``delta``.
     """
 
-    def __init__(self, layer: ContinuousLayer, weighted: np.ndarray, momentum: float):
+    def __init__(self, layer: ContinuousLayer, weighted: np.ndarray):
         n = len(weighted)
         self.layer = layer
         self.gram = np.matmul(weighted, weighted.T)
@@ -351,7 +356,6 @@ class _DualFirstLayer:
         self.base = np.matmul(weighted, layer.matrix.T)
         self.base += layer.bias
         self.coef = np.zeros_like(self.base)
-        self.velocity = np.zeros_like(self.coef) if momentum > 0 else None
         self.output = np.empty((n, layer.j_out, len(layer.out_grid)))
         self.out_flat = self.output.reshape(n, -1)
         kind = layer.activation.kind
@@ -362,15 +366,11 @@ class _DualFirstLayer:
         self.out_flat += self.base
         return self.layer.activation.apply(self.output, out=self.output)
 
-    def step(self, upstream: np.ndarray, lr: float, momentum: float) -> None:
+    def step(self, upstream: np.ndarray, lr: float) -> None:
         # a linear layer's delta is ``upstream``, the next layer's spent input gradient
         delta = self.layer.activation.backward(upstream, self.output, self.delta)
         delta = delta.reshape(self.coef.shape)
-        if self.velocity is not None:
-            self.velocity *= momentum
-            self.velocity += delta
-        direction = delta if self.velocity is None else self.velocity
-        self.coef -= np.multiply(direction, lr, out=delta)
+        self.coef -= np.multiply(delta, lr, out=delta)
 
     def fold(self, weighted: np.ndarray) -> None:
         """Write ``C`` into ``layer.params``: ``matrix += C.T @ X``, ``bias += C.sum(0)``,
@@ -381,21 +381,18 @@ class _DualFirstLayer:
 
 
 def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, workspace: tuple = None,
-                   lr: float = None, momentum: float = 0.0, velocity: list = None,
-                   dual: _DualFirstLayer = None):
+                   lr: float = None, dual: _DualFirstLayer = None):
     """Forward, loss and backward of a checked batch ``x``, whose first-layer
     ``weigh_input`` is ``weighted``, into a training workspace, made when
     ``workspace`` is ``None`` and passed back for the next pass of the fit;
     returns ``(loss, workspace)``, whose first entry is the caches and second
     their one gradient vector, laid out like ``model.params`` from the first
     cached layer on (each cache's ``grads`` is its slice).  Without ``lr`` it
-    holds the gradients.  With ``lr`` each layer takes its
-    step by :func:`sgd_step` right after its backward pass, which has already
-    formed the input gradient from the old matrix; with ``velocity`` (one
-    vector per layer) the step is along ``velocity = momentum * velocity +
-    grads``.  With ``dual`` (and ``lr``) the first layer is ``dual``: it makes
-    no cache and no ``velocity`` entry, and takes its step last.  The loss is
-    :func:`reconstruction_loss` up to rounding.  The output layer must be
+    holds the gradients.  With ``lr`` each layer takes its step by
+    :func:`sgd_step` right after its backward pass, which has already formed
+    the input gradient from the old matrix.  With ``dual`` (and ``lr``) the
+    first layer is ``dual``: it makes no cache, and takes its step last.  The
+    loss is :func:`reconstruction_loss` up to rounding.  The output layer must be
     linear, as every ``BFAEConfig`` makes it: a workspace is refused
     (``ValueError``) otherwise."""
     n = len(x)
@@ -433,14 +430,9 @@ def _gradient_pass(model: BFAEModel, x: np.ndarray, weighted: np.ndarray, worksp
         # the first layer's input is the data: its gradient would go unused
         upstream = layer_backward(layer, cache, upstream, input_grad=ell > 0)[2]
         if lr is not None:
-            grads = cache.grads
-            if velocity is not None:
-                grads = velocity[ell]
-                grads *= momentum
-                grads += cache.grads
-            sgd_step(layer, grads, lr, cache)
+            sgd_step(layer, cache.grads, lr, cache)
     if dual is not None:
-        dual.step(upstream, lr, momentum)
+        dual.step(upstream, lr)
     return loss, workspace
 
 
@@ -476,24 +468,18 @@ def train(model: BFAEModel, train_values: np.ndarray) -> TrainHistory:
 def _train_gd(model: BFAEModel, x: np.ndarray) -> TrainHistory:
     cfg = model.config
     losses = np.empty(cfg.epochs)
-    lr, momentum = cfg.lr, cfg.momentum
     # the data and its quadrature weights are fixed: weigh them once per fit
     weighted = weigh_input(model.layers[0], x)
     dual = None
     if cfg.epochs > 0 and len(x) < DUAL_BELOW * weighted.shape[1]:
-        dual = _DualFirstLayer(model.layers[0], weighted, momentum)
+        dual = _DualFirstLayer(model.layers[0], weighted)
         # weighed again for the fold, so not held through the epochs
         weighted = None
-    first = 0 if dual is None else 1
-    velocity = None
-    if momentum > 0:
-        velocity = [None] * first + [np.zeros_like(lay.params) for lay in model.layers[first:]]
     workspace = None
 
     try:
         for epoch in range(cfg.epochs):
-            loss, workspace = _gradient_pass(model, x, weighted, workspace, lr, momentum,
-                                             velocity, dual)
+            loss, workspace = _gradient_pass(model, x, weighted, workspace, cfg.lr, dual)
             losses[epoch] = loss
             if not (math.isfinite(loss) and loss <= DIVERGENCE_FACTOR * losses[0]):
                 raise TrainingDiverged(
@@ -660,10 +646,12 @@ _FILE_TYPES = (("config", dict, "object"), ("layer_shapes", list, "array"),
 def save_model(model: BFAEModel, path) -> Path:
     """Write a model as JSON: config + shapes header + base64 row-major payload.
 
-    The config block is ``BFAEConfig``'s fields in declaration order, then
-    ``batch_size``, which format 1 keeps as null: training is full batch.
-    ``optimizer`` is left out when it is ``"gd"``, so a descent-trained
-    model's file is as format 1 first wrote it.
+    The config block is ``BFAEConfig``'s fields in declaration order, with
+    two entries format 1 reserves: ``momentum``, kept as 0.0 before
+    ``optimizer`` (descent takes plain steps), and ``batch_size``, kept as
+    null at the end (training is full batch).  ``optimizer`` is left out when
+    it is ``"gd"``, so a descent-trained model's file is as format 1 first
+    wrote it.
     """
     path = Path(path)
     chunks = []
@@ -674,8 +662,10 @@ def save_model(model: BFAEModel, path) -> Path:
         chunks.append(lay.biases.ravel())
     payload = np.concatenate(chunks).astype("<f8").tobytes()
     config = asdict(model.config)
-    if config["optimizer"] == "gd":
-        del config["optimizer"]
+    optimizer = config.pop("optimizer")
+    config["momentum"] = 0.0
+    if optimizer != "gd":
+        config["optimizer"] = optimizer
     doc = {
         "format_version": 1,
         "config": {**config, "batch_size": None},
@@ -693,7 +683,8 @@ def load_model(path) -> BFAEModel:
 
     A format-1 file holds exactly the keys :func:`save_model` writes, with
     ``dtype`` ``"float64"`` and ``trained_epochs`` a whole number ``>= 0``; a
-    config block without ``optimizer`` is read as ``"gd"``.
+    config block without ``optimizer`` is read as ``"gd"``, and its
+    ``momentum`` must be 0.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
@@ -713,12 +704,16 @@ def load_model(path) -> BFAEModel:
         if not isinstance(doc[key], kind):
             raise ValueError(f"{path}: {key} must be a JSON {name}, got {type(doc[key]).__name__}")
     block = doc["config"]
-    names = [f.name for f in fields(BFAEConfig)] + ["batch_size"]
+    names = [f.name for f in fields(BFAEConfig)] + ["momentum", "batch_size"]
     if set(block) | {"optimizer"} != set(names):
         raise ValueError(f"{path}: model file config keys {sorted(block)} differ from {names} "
                          f"(optimizer may be left out)")
     if block.pop("batch_size") is not None:
         raise ValueError(f"{path}: model file batch_size must be null: training is full batch")
+    momentum = block.pop("momentum")
+    if isinstance(momentum, bool) or momentum != 0:
+        raise ValueError(f"{path}: model file momentum must be 0.0, got {momentum!r}: "
+                         f"descent takes plain steps")
     try:
         config = BFAEConfig(**block)
     except (TypeError, ValueError) as exc:

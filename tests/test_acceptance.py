@@ -205,7 +205,7 @@ def test_criterion_4_special_case_reductions():
         te.values, fpca_reconstruct(fp, fpca_encode(fp, te.values)), g
     )
     cfg = bottleneck_config(
-        1, 25, 1, k, hidden="linear", lr=5.0, epochs=10000, momentum=0.9, seed=11
+        1, 25, 1, k, hidden="linear", lr=5.0, epochs=1000, optimizer="lbfgs", seed=11
     )
     bf = build(cfg)
     train(bf, tr.values)

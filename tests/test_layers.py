@@ -477,7 +477,8 @@ class TestSgdStep:
         np.testing.assert_array_equal(layer.biases, 0.0)
 
     def test_grads_left_unchanged(self):
-        # with momentum the grads are the velocity buffers, so they must survive
+        # sgd_step leaves the grads it is passed as they were, with or without a
+        # cache: only a training workspace's own grads take the step over them
         layer = random_layer(2, 3, 4, 5, "tanh", seed=65)
         rng = np.random.default_rng(66)
         grads = rng.standard_normal(layer.params.shape)

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -99,6 +100,31 @@ class TestConfig:
             bottleneck_config(1, 9, 1, 3, **{field: value})
 
     @pytest.mark.parametrize("field, value, match", [
+        ("feature_counts", (1.5, 1, 1.5), "feature_counts entry must be a whole number, got 1.5"),
+        ("feature_counts", (1, True, 1), "feature_counts entry must be a whole number, got True"),
+        ("grid_sizes", (9, 3.0, 9), "grid_sizes entry must be a whole number, got 3.0"),
+        ("latent_index", 1.7, "latent_index must be a whole number, got 1.7"),
+        ("latent_index", True, "latent_index must be a whole number, got True"),
+        ("seed", -3, "seed must be >= 0, got -3"),
+        ("seed", 2.0, "seed must be a whole number, got 2.0"),
+        ("seed", True, "seed must be a whole number, got True"),
+    ])
+    def test_counts_indices_and_seeds_are_whole_numbers(self, field, value, match):
+        # never truncated: a fraction or a bool is not a count, an index or a seed
+        settings = {"feature_counts": (1, 1, 1), "grid_sizes": (9, 3, 9), field: value}
+        with pytest.raises(ValueError, match=re.escape(match)):
+            BFAEConfig(**settings)
+
+    def test_numpy_whole_numbers_are_read_as_ints(self, tmp_path):
+        cfg = BFAEConfig(feature_counts=np.array([2, 1, 2]), grid_sizes=(9, np.int64(3), 9),
+                         latent_index=np.int32(1), epochs=np.int64(3), seed=np.uint32(5))
+        assert cfg == BFAEConfig(feature_counts=(2, 1, 2), grid_sizes=(9, 3, 9), epochs=3, seed=5)
+        values = cfg.feature_counts + cfg.grid_sizes + (cfg.latent_index, cfg.epochs, cfg.seed)
+        assert all(type(v) is int for v in values)
+        # so the model file, which JSON writes, takes them
+        assert load_model(save_model(build(cfg), tmp_path / "m.json")).config == cfg
+
+    @pytest.mark.parametrize("field, value, match", [
         ("init_scheme", "bogus", r"unknown init scheme 'bogus'; choose from \('uniform', "),
         ("init_scheme", "glorot", "unknown init scheme 'glorot'"),
         ("activations", ("relu2", "linear"), "unknown activation 'relu2'"),
@@ -113,11 +139,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"unknown optimizer '{optimizer}'; choose from "
                                              r"\('gd', 'lbfgs'\)"):
             bottleneck_config(1, 9, 1, 3, optimizer=optimizer)
-
-    def test_lbfgs_takes_no_momentum(self):
-        with pytest.raises(ValueError, match="momentum must be 0 with optimizer 'lbfgs', got 0.5"):
-            bottleneck_config(1, 9, 1, 3, momentum=0.5, optimizer="lbfgs")
-        assert bottleneck_config(1, 9, 1, 3, momentum=0.5).optimizer == "gd"
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,)])
     def test_interval_must_be_a_pair(self, interval):
@@ -345,14 +366,6 @@ class TestTrain:
         history = train(model, x)
         assert np.all(np.diff(history.losses) <= 1e-6)
 
-    def test_momentum_trains(self):
-        cfg = bottleneck_config(1, 9, 1, 4, hidden="linear", lr=1.0, epochs=300,
-                                momentum=0.9, seed=11)
-        model = build(cfg)
-        x = np.random.default_rng(12).standard_normal((8, 1, 9))
-        history = train(model, x)
-        assert history.losses[-1] < history.losses[0] * 0.5
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         cfg = bottleneck_config(1, 20, 1, 20, hidden="linear", lr=1e6, epochs=200, seed=15)
@@ -383,7 +396,7 @@ class TestTrain:
         # stopped in the 4th epoch's decoder forward: 3 whole epochs are in params
         from bfae import model as bmodel
 
-        model = build(bottleneck_config(2, 9, 1, 4, lr=0.3, momentum=0.5, epochs=10, seed=25))
+        model = build(bottleneck_config(2, 9, 1, 4, lr=0.3, epochs=10, seed=25))
         x = np.random.default_rng(26).standard_normal((6, 2, 9))
         params = reference_params(model)
         calls, forward = [], bmodel.layer_forward
@@ -398,7 +411,7 @@ class TestTrain:
         with pytest.raises(KeyboardInterrupt):
             train(model, x)
         assert model.trained_epochs == 3
-        reference_dual_train(params, x, model.data_grid.quad_weights, 0.3, 3, momentum=0.5)
+        reference_dual_train(params, x, model.data_grid.quad_weights, 0.3, 3)
         assert_same_parameters(model, params)
 
     def test_no_epochs_leave_the_parameters_alone(self):
@@ -413,13 +426,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("hidden", ["linear", "tanh", "dense"])
     def test_the_callers_curves_are_never_written(self, hidden):
-        # dual side with momentum; the dense AE's weighed data is the caller's array
+        # dual side; the dense AE's weighed data is the caller's array
         x = np.random.default_rng(23).standard_normal((6, 1, 9))
         kept = x.copy()
         if hidden == "dense":
             ae_fit(x[:, 0], [9, 3, 9], lr=0.05, epochs=4, seed=24)
         else:
-            cfg = bottleneck_config(1, 9, 1, 4, hidden=hidden, lr=0.1, momentum=0.5, epochs=4)
+            cfg = bottleneck_config(1, 9, 1, 4, hidden=hidden, lr=0.1, epochs=4)
             train(build(cfg), x)
         np.testing.assert_array_equal(x, kept)
 
@@ -795,7 +808,10 @@ class TestSerialization:
         x = np.random.default_rng(42).standard_normal((6, 2, 10))
         train(model, x)
         path = save_model(model, tmp_path / "model.json")
-        assert json.loads(path.read_text())["config"]["optimizer"] == "lbfgs"
+        config = json.loads(path.read_text())["config"]
+        # format 1's reserved momentum, always 0.0, goes before the optimizer
+        assert list(config)[-4:] == ["seed", "momentum", "optimizer", "batch_size"]
+        assert config["momentum"] == 0.0 and config["optimizer"] == "lbfgs"
         loaded = load_model(path)
         np.testing.assert_array_equal(model.reconstruct(x), loaded.reconstruct(x))
         assert loaded.config == model.config
@@ -805,7 +821,7 @@ class TestSerialization:
     def test_a_gd_model_file_has_no_optimizer_key(self, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2, seed=43)), tmp_path / "m.json")
         doc = json.loads(path.read_text())
-        assert "optimizer" not in doc["config"]
+        assert list(doc["config"])[-3:] == ["seed", "momentum", "batch_size"]
         doc["config"]["optimizer"] = "gd"  # written out, it reads the same
         path.write_text(json.dumps(doc))
         assert load_model(path).config.optimizer == "gd"
@@ -849,16 +865,21 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, match", [
         (lambda config: config.pop("lr"), "config keys"),
         (lambda config: config.update(dropout=0.5), "config keys"),
-        (lambda config: config.update(optimizer="adam"), r"m\.json: config: unknown optimizer"),
+        (lambda config: config.update(optimizer="adam"), "config: unknown optimizer"),
         # reserved in format 1 and always null: training is full batch
         (lambda config: config.update(batch_size=4), "batch_size must be null"),
-    ], ids=["missing-lr", "unknown-key", "unknown-optimizer", "batch-size-set"])
+        # reserved in format 1 and always 0.0: descent takes plain steps
+        (lambda config: config.update(momentum=0.9), "momentum must be 0.0, got 0.9"),
+        (lambda config: config.update(momentum=False), "momentum must be 0.0, got False"),
+        (lambda config: config.pop("momentum"), "config keys"),
+    ], ids=["missing-lr", "unknown-key", "unknown-optimizer", "batch-size-set", "momentum-set",
+            "momentum-false", "no-momentum"])
     def test_rejects_config_keys_that_differ_from_the_fields(self, edit, match, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2, lr=0.5)), tmp_path / "m.json")
         doc = json.loads(path.read_text())
         edit(doc["config"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=r"m\.json: .*" + match):
             load_model(path)
 
     @pytest.mark.parametrize("edit, match", [
@@ -900,7 +921,14 @@ class TestSerialization:
          "config: 'int' object is not iterable"),
         (lambda doc: doc["config"].update(interval=[0, 1, 2]), "config: interval must be a pair"),
         (nan_first_value, "layer 0: layer parameters must be finite"),
-    ], ids=["lr-text", "feature-counts-int", "interval-triple", "nan-payload"])
+        # a fraction is not a count, and a negative seed cannot start a layer
+        (lambda doc: doc["config"].update(feature_counts=[1.9, 1, 1.2]),
+         r"config: feature_counts entry must be a whole number, got 1\.9"),
+        (lambda doc: doc["config"].update(seed=-1), "config: seed must be >= 0, got -1"),
+        (lambda doc: doc["config"].update(latent_index=True),
+         "config: latent_index must be a whole number, got True"),
+    ], ids=["lr-text", "feature-counts-int", "interval-triple", "nan-payload",
+            "feature-counts-fraction", "seed-negative", "latent-index-bool"])
     def test_rejects_config_and_layer_values_naming_the_file(self, edit, match, tmp_path):
         path = save_model(build(bottleneck_config(1, 5, 1, 2)), tmp_path / "m.json")
         doc = json.loads(path.read_text())

@@ -59,7 +59,6 @@ def problems(draw):
         hidden=draw(st.sampled_from(["relu", "sigmoid", "tanh"])),
         lr=draw(st.floats(0.01, 0.5)),
         epochs=draw(st.integers(1, 6)),
-        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
         seed=draw(st.integers(0, 2**16)),
     )
     data = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, r, m))
@@ -71,8 +70,7 @@ def problems(draw):
 def test_train_matches_reference_loop(problem):
     config, x = problem
     model = build(config)
-    (losses, params), primal = reference_fits(model, x, config.lr, config.epochs,
-                                              config.momentum)
+    (losses, params), primal = reference_fits(model, x, config.lr, config.epochs)
     # train stops on divergence; the reference does not
     assume(np.all(np.isfinite(losses)) and np.all(losses <= DIVERGENCE_FACTOR * losses[0]))
     history = train(model, x)
@@ -116,7 +114,7 @@ def test_losses_equal_reconstruction_loss(problem, decade):
 @given(problems(), st.integers(0, 40))
 def test_lbfgs_loss_falls_at_every_accepted_iterate(problem, iterations):
     config, x = problem
-    model = build(replace(config, momentum=0.0, optimizer="lbfgs", epochs=iterations))
+    model = build(replace(config, optimizer="lbfgs", epochs=iterations))
     losses = train(model, x).losses
     # one loss per iteration begun; an early stop records the loss it could not lower
     stopped = len(losses) == model.trained_epochs + 1

@@ -106,26 +106,18 @@ def reference_step(params, x, qw, update=None):
     return loss, grads
 
 
-def reference_update(params, lr, momentum):
-    """``update(i, gw, gb)``: layer i's step, along its velocity with momentum."""
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _, _ in params]
+def reference_update(params, lr):
+    """``update(i, gw, gb)``: layer i's step."""
 
     def update(i, gw, gb):
-        if momentum > 0:
-            vw, vb = velocity[i]
-            vw *= momentum
-            vw += gw
-            vb *= momentum
-            vb += gb
-            gw, gb = vw, vb
         params[i][0] -= lr * gw
         params[i][1] -= lr * gb
 
     return update
 
 
-def reference_train(params, x, qw, lr, epochs, momentum=0.0):
-    update = reference_update(params, lr, momentum)
+def reference_train(params, x, qw, lr, epochs):
+    update = reference_update(params, lr)
     return np.array([reference_step(params, x, qw, update)[0] for _ in range(epochs)])
 
 
@@ -135,7 +127,7 @@ def on_dual_side(n, row):
     return n < DUAL_BELOW * row
 
 
-def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
+def reference_dual_train(params, x, qw, lr, epochs):
     """Full-batch descent with the first layer in dual form: it is
     ``W0 + C.T X``, ``b0 + C.sum(0)`` over the weighed data ``X``, so its
     pre-activation is ``(X X.T + 1) C + (X W0.T + b0)`` and its step is
@@ -146,8 +138,8 @@ def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
     xw = (x * q0).reshape(n, -1)
     gram = xw @ xw.T + 1.0
     base = xw @ _matrix(w0).T + b0.ravel()
-    coef, velocity = np.zeros_like(base), np.zeros_like(base)
-    update = reference_update(params, lr, momentum)
+    coef = np.zeros_like(base)
+    update = reference_update(params, lr)
     losses = []
     for _ in range(epochs):
         pre0 = (gram @ coef + base).reshape(n, *b0.shape)
@@ -164,10 +156,6 @@ def reference_dual_train(params, x, qw, lr, epochs, momentum=0.0):
             gw, gb, upstream = reference_backward(w, q, act, inputs[i - 1], pres[i - 1], upstream)
             update(i, gw, gb)
         delta = (upstream * reference_derivative(act0, pre0)).reshape(n, -1)
-        if momentum > 0:
-            velocity *= momentum
-            velocity += delta
-            delta = velocity
         coef -= lr * delta
     if epochs:
         j_out, j_in, m_out, m_in = w0.shape
@@ -235,17 +223,17 @@ def reference_lbfgs(params, x, qw, lr, iterations):
     return np.array(losses), len(pairs)
 
 
-def reference_fits(model, x, lr, epochs, momentum=0.0):
+def reference_fits(model, x, lr, epochs):
     """``((losses, params), (primal_losses, primal_params))`` from ``model``'s
     parameters: the reference loop of the side ``train`` takes, and the primal
     loop (the same loop on the primal side)."""
     qw = model.data_grid.quad_weights
     primal = reference_params(model)
-    primal_fit = reference_train(primal, x, qw, lr, epochs, momentum), primal
+    primal_fit = reference_train(primal, x, qw, lr, epochs), primal
     if not on_dual_side(x.shape[0], x[0].size):
         return primal_fit, primal_fit
     dual = reference_params(model)
-    return (reference_dual_train(dual, x, qw, lr, epochs, momentum), dual), primal_fit
+    return (reference_dual_train(dual, x, qw, lr, epochs), dual), primal_fit
 
 
 def assert_same_parameters(model, params):
@@ -276,8 +264,7 @@ CASES = {
                                        lr=1.0, epochs=40)),
     "relu_hidden": ((8, 2, 7), dict(latent_features=3, latent_points=5, n_layers=3,
                                     hidden="relu", lr=0.3, epochs=40)),
-    "momentum": ((8, 2, 9), dict(latent_features=1, latent_points=4, lr=0.2, momentum=0.9,
-                                 epochs=60)),
+    "dual_long_fit": ((8, 2, 9), dict(latent_features=1, latent_points=4, lr=0.2, epochs=60)),
     "one_latent_feature": ((11, 2, 6), dict(latent_features=1, latent_points=3, lr=0.5,
                                             epochs=30)),
     # rows of 2 x 70 curve values: the quadrature multipliers are broadcast rows, not tiles
@@ -285,11 +272,10 @@ CASES = {
     # full batches of at least DUAL_BELOW rows' length: the first layer stays primal
     "primal_full_batch": ((20, 2, 5), dict(latent_features=2, latent_points=3, n_layers=3,
                                            lr=0.3, epochs=40)),
-    "primal_momentum": ((30, 1, 9), dict(latent_features=2, latent_points=4, hidden="relu",
-                                         lr=0.2, momentum=0.9, epochs=40)),
-    "primal_deep_sigmoid_momentum": ((24, 2, 6), dict(latent_features=2, latent_points=3,
-                                                      n_layers=3, hidden="sigmoid", lr=0.5,
-                                                      momentum=0.5, epochs=30)),
+    "primal_relu": ((30, 1, 9), dict(latent_features=2, latent_points=4, hidden="relu",
+                                     lr=0.2, epochs=40)),
+    "primal_deep_sigmoid": ((24, 2, 6), dict(latent_features=2, latent_points=3, n_layers=3,
+                                             hidden="sigmoid", lr=0.5, epochs=30)),
     "primal_sigmoid_long_rows": ((300, 1, 140), dict(latent_features=1, latent_points=3,
                                                      hidden="sigmoid", lr=0.02, epochs=5)),
 }
@@ -301,7 +287,7 @@ def test_train_matches_reference_loop(case):
     cfg = bottleneck_config(r, m, seed=7, **kwargs)
     model = build(cfg)
     x = np.random.default_rng(8).standard_normal((n, r, m))
-    (losses, params), primal = reference_fits(model, x, cfg.lr, cfg.epochs, cfg.momentum)
+    (losses, params), primal = reference_fits(model, x, cfg.lr, cfg.epochs)
     history = train(model, x)
     np.testing.assert_array_equal(history.losses, losses)
     assert_same_parameters(model, params)
